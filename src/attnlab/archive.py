@@ -11,22 +11,26 @@ config (field-for-field JSON), and a tensor manifest: name, dtype ("f32" or
 "f64"), row-major shape, byte offset into the blob, and byte length. Reads
 validate the version, name uniqueness, offset/length consistency, blob size,
 and checksum before any tensor is materialized; every failure names the
-offending field. Tensors are stored and loaded as little-endian regardless
-of host byte order, so an archive means the same floats everywhere.
+offending field. The names and shapes must be the config's layout
+(``weights.flat_shapes``): a stacked field such as ``wq`` is stored as its
+matrices ``wq.0`` ... ``wq.{H-1}``. Tensors are stored and loaded as
+little-endian regardless of host byte order, so an archive means the same
+floats everywhere.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .config import AttentionConfig, Mechanism
+from .config import AttentionConfig
 from .errors import ArchiveError, ConfigurationError
-from .weights import WeightSet
+from .weights import WeightSet, flat_shapes, tensor_shapes
 
 FORMAT_VERSION = 1
 
@@ -74,42 +78,6 @@ def write_archive(weights: WeightSet, path) -> None:
         f.write(blob)
 
 
-def _expected_tensors(config: AttentionConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape map a well-formed archive must provide for a config."""
-    d, H, d_h = config.d, config.H, config.d_h
-    exp: dict[str, tuple[int, ...]] = {f"wq.{h}": (d, d_h) for h in range(H)}
-    m = config.mechanism
-    if m is Mechanism.MHA:
-        for h in range(H):
-            exp[f"wk.{h}"] = (d, d_h)
-            exp[f"wv.{h}"] = (d, d_h)
-    elif m is Mechanism.MQA:
-        exp["wk_shared"] = (d, d_h)
-        exp["wv_shared"] = (d, d_h)
-    elif m is Mechanism.GQA:
-        for g in range(config.G):
-            exp[f"wk.{g}"] = (d, d_h)
-            exp[f"wv.{g}"] = (d, d_h)
-    elif m is Mechanism.MLA:
-        exp["wdown"] = (d, config.d_c)
-        for h in range(H):
-            exp[f"wup_k.{h}"] = (config.d_c, d_h)
-            exp[f"wup_v.{h}"] = (config.d_c, d_h)
-    else:  # LRKV
-        exp["wk_shared"] = (d, d_h)
-        exp["wv_shared"] = (d, d_h)
-        for h in range(H):
-            exp[f"uk.{h}"] = (d, config.r)
-            exp[f"bk.{h}"] = (d_h, config.r)
-            exp[f"uv.{h}"] = (d, config.r)
-            exp[f"bv.{h}"] = (d_h, config.r)
-    return exp
-
-
-def _stack(tensors: dict[str, np.ndarray], prefix: str, count: int) -> tuple:
-    return tuple(tensors[f"{prefix}.{i}"] for i in range(count))
-
-
 def read_archive(path) -> WeightSet:
     """Load a WeightSet; validates structure and checksum before decoding."""
     data = Path(path).read_bytes()
@@ -122,7 +90,9 @@ def read_archive(path) -> WeightSet:
         header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ArchiveError(f"unreadable header: {e}") from e
-    blob = data[8 + header_len :]
+    if not isinstance(header, dict):
+        raise ArchiveError(f"header is a JSON {type(header).__name__}, not an object")
+    blob = memoryview(data)[8 + header_len :]
 
     version = header.get("format_version")
     if version != FORMAT_VERSION:
@@ -131,34 +101,36 @@ def read_archive(path) -> WeightSet:
         )
     try:
         config = AttentionConfig.from_json_dict(header["config"])
-    except (KeyError, TypeError, ConfigurationError) as e:
+    except (KeyError, ConfigurationError) as e:
         raise ArchiveError(f"bad config block: {e}") from e
 
     manifest = header.get("tensors")
     if not isinstance(manifest, list):
         raise ArchiveError("manifest missing or not a list")
-    seen: set[str] = set()
     prev_end = 0
     tensors: dict[str, np.ndarray] = {}
     for entry in manifest:
+        if not isinstance(entry, dict):
+            raise ArchiveError(f"manifest entry is not an object: {entry!r}")
         name = entry.get("name")
         if not isinstance(name, str):
             raise ArchiveError(f"manifest entry without a valid name: {entry!r}")
-        if name in seen:
+        if name in tensors:
             raise ArchiveError(f"duplicate tensor name: {name}")
-        seen.add(name)
         code = entry.get("dtype")
-        if code not in _DTYPE_CODES:
+        if not isinstance(code, str) or code not in _DTYPE_CODES:
             raise ArchiveError(f"tensor {name}: unknown dtype {code!r}")
         dtype = _DTYPE_CODES[code]
-        shape = tuple(entry.get("shape", ()))
+        shape = entry.get("shape", [])
+        if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
+            raise ArchiveError(f"tensor {name}: shape {shape!r} is not a list of sizes")
         offset, length = entry.get("offset"), entry.get("length")
         if not isinstance(offset, int) or not isinstance(length, int) or offset < 0:
             raise ArchiveError(f"tensor {name}: invalid offset/length")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         if length != count * dtype.itemsize:
             raise ArchiveError(
-                f"tensor {name}: length {length} does not match shape {shape} "
+                f"tensor {name}: length {length} does not match shape {tuple(shape)} "
                 f"at {dtype.itemsize} bytes/element"
             )
         if offset < prev_end:
@@ -167,13 +139,13 @@ def read_archive(path) -> WeightSet:
         if prev_end > len(blob):
             raise ArchiveError(f"truncated blob: tensor {name} extends past end of file")
         arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
-        tensors[name] = arr.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+        tensors[name] = arr.reshape(shape).astype(dtype.newbyteorder("="), copy=False)
 
     stored = header.get("checksum")
     if stored != (zlib.crc32(blob) & 0xFFFFFFFF):
         raise ArchiveError("checksum mismatch: blob corrupted")
 
-    expected = _expected_tensors(config)
+    expected = flat_shapes(config)
     missing = sorted(set(expected) - set(tensors))
     if missing:
         raise ArchiveError(f"missing tensors: {', '.join(missing)}")
@@ -186,29 +158,10 @@ def read_archive(path) -> WeightSet:
                 f"tensor {name}: shape {tensors[name].shape}, expected {shape}"
             )
 
-    H = config.H
-    wq = _stack(tensors, "wq", H)
-    m = config.mechanism
-    if m is Mechanism.MHA:
-        return WeightSet(wq=wq, wk=_stack(tensors, "wk", H),
-                         wv=_stack(tensors, "wv", H), config=config)
-    if m is Mechanism.MQA:
-        return WeightSet(wq=wq, wk_shared=tensors["wk_shared"],
-                         wv_shared=tensors["wv_shared"], config=config)
-    if m is Mechanism.GQA:
-        return WeightSet(wq=wq, wk=_stack(tensors, "wk", config.G),
-                         wv=_stack(tensors, "wv", config.G), config=config)
-    if m is Mechanism.MLA:
-        return WeightSet(wq=wq, wdown=tensors["wdown"],
-                         wup_k=_stack(tensors, "wup_k", H),
-                         wup_v=_stack(tensors, "wup_v", H), config=config)
-    return WeightSet(
-        wq=wq,
-        wk_shared=tensors["wk_shared"],
-        wv_shared=tensors["wv_shared"],
-        uk=_stack(tensors, "uk", H),
-        bk=_stack(tensors, "bk", H),
-        uv=_stack(tensors, "uv", H),
-        bv=_stack(tensors, "bv", H),
-        config=config,
-    )
+    fields = {}
+    for field, shape in tensor_shapes(config).items():
+        if len(shape) == 3:
+            fields[field] = np.stack([tensors[f"{field}.{i}"] for i in range(shape[0])])
+        else:
+            fields[field] = tensors[field].copy()
+    return WeightSet(config=config, **fields)

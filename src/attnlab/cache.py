@@ -9,6 +9,10 @@ Every mechanism caches the smallest sufficient statistic of the prefix:
     LRKV  shared K/V streams plus       (T, d_h) x 2
           per-head rank-r latents       (H, T, r) x 2
 
+``STREAMS`` maps each cache field to the weight that projects a token into
+it; a buffer has that weight's ``tensor_shapes`` shape with the model-width
+(row) axis replaced by the capacity.
+
 Two decode paths are provided. ``decode_explicit`` reconstructs each head's
 full K/V over the cached prefix and runs ordinary attention — the reference
 semantics. ``decode_factored`` (low-rank and latent mechanisms only) gets
@@ -16,6 +20,9 @@ identical logits and outputs without ever forming a (T, d_h) per-head
 matrix, by pushing the query and the attention weights through the small
 factors instead. The two paths are algebraically equal; floating point
 leaves differences at the 1e-9 level (float64) for prefixes up to 4096.
+A decode step that raises (say, on a non-finite token) sets the cache length
+back, so the cache stays usable: the row it wrote lies past ``length``,
+where no read sees it and the next append overwrites it.
 
 Prefill and append run token rows through one shared projection helper, so
 "prefill the whole prompt" and "append tokens one at a time" fill the cache
@@ -44,9 +51,21 @@ from .errors import (
     UnsupportedMechanismError,
     UnsupportedModeError,
 )
-from .weights import WeightSet, gqa_group, init_weights
+from .weights import (WeightSet, gqa_group, init_weights, kv_heads, residual_rank,
+                      tensor_shapes)
 
 _MASK64 = (1 << 64) - 1
+
+# Cache field -> (weight that projects a token into it, alloc-hook tag of a row).
+STREAMS = {
+    "k": ("wk", "append.k_row"),
+    "v": ("wv", "append.v_row"),
+    "k_shared": ("wk_shared", "append.k_row"),
+    "v_shared": ("wv_shared", "append.v_row"),
+    "z": ("wdown", "append.z_row"),
+    "rk": ("uk", "append.rk_row"),
+    "rv": ("uv", "append.rv_row"),
+}
 
 AllocHook = Callable[[str, tuple], None]
 _alloc_hook: AllocHook | None = None
@@ -76,8 +95,8 @@ class DecodeCache:
     """Preallocated per-layer decode cache for one mechanism.
 
     Buffers are allocated once at ``capacity`` rows and filled up to
-    ``length``; unused fields stay None. Single writer; reads between
-    appends are safe.
+    ``length``; fields the mechanism has no stream for stay None. Single
+    writer; reads between appends are safe.
     """
 
     config: AttentionConfig
@@ -91,18 +110,19 @@ class DecodeCache:
     rk: np.ndarray | None = None        # (H, cap, r) LRKV
     rv: np.ndarray | None = None
 
+    def payload_elements(self) -> int:
+        """Elements held by the cache buffers (at full capacity)."""
+        buffers = (getattr(self, field) for field in STREAMS)
+        return sum(buf.size for buf in buffers if buf is not None)
+
     def payload_nbytes(self) -> int:
         """Total bytes held by the cache buffers (at full capacity)."""
-        total = 0
-        for buf in (self.k, self.v, self.k_shared, self.v_shared,
-                    self.z, self.rk, self.rv):
-            if buf is not None:
-                total += buf.nbytes
-        return total
+        return self.payload_elements() * self.dtype.itemsize
 
     @property
     def dtype(self):
-        for buf in (self.k, self.k_shared, self.z):
+        for field in STREAMS:
+            buf = getattr(self, field)
             if buf is not None:
                 return buf.dtype
         return np.dtype(np.float64)
@@ -129,25 +149,12 @@ def empty_cache(config: AttentionConfig, capacity: int, dtype=np.float64) -> Dec
     """Allocate an all-zero cache with room for ``capacity`` tokens."""
     if capacity < 0:
         raise ConfigurationError(f"capacity must be >= 0, got {capacity}")
-    H, d_h = config.H, config.d_h
-    m = config.mechanism
     cache = DecodeCache(config=config, capacity=capacity)
-    if m is Mechanism.MHA:
-        cache.k = np.zeros((H, capacity, d_h), dtype=dtype)
-        cache.v = np.zeros((H, capacity, d_h), dtype=dtype)
-    elif m is Mechanism.MQA:
-        cache.k_shared = np.zeros((capacity, d_h), dtype=dtype)
-        cache.v_shared = np.zeros((capacity, d_h), dtype=dtype)
-    elif m is Mechanism.GQA:
-        cache.k = np.zeros((config.G, capacity, d_h), dtype=dtype)
-        cache.v = np.zeros((config.G, capacity, d_h), dtype=dtype)
-    elif m is Mechanism.MLA:
-        cache.z = np.zeros((capacity, config.d_c), dtype=dtype)
-    else:  # LRKV
-        cache.k_shared = np.zeros((capacity, d_h), dtype=dtype)
-        cache.v_shared = np.zeros((capacity, d_h), dtype=dtype)
-        cache.rk = np.zeros((H, capacity, config.r), dtype=dtype)
-        cache.rv = np.zeros((H, capacity, config.r), dtype=dtype)
+    shapes = tensor_shapes(config)
+    for field, (weight, _) in STREAMS.items():
+        if weight in shapes:
+            *heads, _, cols = shapes[weight]
+            setattr(cache, field, np.zeros((*heads, capacity, cols), dtype=dtype))
     return cache
 
 
@@ -157,7 +164,8 @@ def append_token(
     """Project one token and write its cache row(s); returns the same cache.
 
     This is the only code path that writes cache rows (prefill loops over
-    it), so incremental and whole-prompt filling agree exactly.
+    it), so incremental and whole-prompt filling agree exactly. A stacked
+    stream gets one matvec per head or group slice.
     """
     x = np.asarray(x)
     if x.shape != (config.d,):
@@ -167,26 +175,16 @@ def append_token(
             f"cache full: capacity {cache.capacity}, length {cache.length}"
         )
     t = cache.length
-    m = config.mechanism
-    if m is Mechanism.MHA:
-        for h in range(config.H):
-            cache.k[h, t] = _note("append.k_row", x @ w.wk[h])
-            cache.v[h, t] = _note("append.v_row", x @ w.wv[h])
-    elif m is Mechanism.MQA:
-        cache.k_shared[t] = _note("append.k_row", x @ w.wk_shared)
-        cache.v_shared[t] = _note("append.v_row", x @ w.wv_shared)
-    elif m is Mechanism.GQA:
-        for g in range(config.G):
-            cache.k[g, t] = _note("append.k_row", x @ w.wk[g])
-            cache.v[g, t] = _note("append.v_row", x @ w.wv[g])
-    elif m is Mechanism.MLA:
-        cache.z[t] = _note("append.z_row", x @ w.wdown)
-    else:  # LRKV
-        cache.k_shared[t] = _note("append.k_row", x @ w.wk_shared)
-        cache.v_shared[t] = _note("append.v_row", x @ w.wv_shared)
-        for h in range(config.H):
-            cache.rk[h, t] = _note("append.rk_row", x @ w.uk[h])
-            cache.rv[h, t] = _note("append.rv_row", x @ w.uv[h])
+    for field, (weight, tag) in STREAMS.items():
+        buf = getattr(cache, field)
+        if buf is None:
+            continue
+        proj = getattr(w, weight)
+        if buf.ndim == 2:
+            buf[t] = _note(tag, x @ proj)
+        else:
+            for i in range(buf.shape[0]):
+                buf[i, t] = _note(tag, x @ proj[i])
     cache.length = t + 1
     return cache
 
@@ -235,38 +233,36 @@ def decode_explicit(
     """
     append_token(cache, w, config, x)
     t = cache.length
-    m = config.mechanism
-    scale = config.softmax_scale
-    logits = np.empty((config.H, t), dtype=cache.dtype)
-    out = np.empty((config.H, config.d_h), dtype=cache.dtype)
-    for h in range(config.H):
-        if m is Mechanism.MHA:
-            K, V = cache.k[h, :t], cache.v[h, :t]
-        elif m is Mechanism.MQA:
-            K, V = cache.k_shared[:t], cache.v_shared[:t]
-        elif m is Mechanism.GQA:
-            g = gqa_group(h, config.H, config.G)
-            K, V = cache.k[g, :t], cache.v[g, :t]
-        elif m is Mechanism.MLA:
-            Z = cache.z[:t]
-            K = _note("explicit.k_head", Z @ w.wup_k[h])
-            V = _note("explicit.v_head", Z @ w.wup_v[h])
-        else:  # LRKV
-            if config.r == 0:
-                K, V = cache.k_shared[:t], cache.v_shared[:t]
-            else:
+    try:
+        scale = config.softmax_scale
+        logits = np.empty((config.H, t), dtype=cache.dtype)
+        out = np.empty((config.H, config.d_h), dtype=cache.dtype)
+        for h in range(config.H):
+            if config.mechanism is Mechanism.MLA:
+                Z = cache.z[:t]
+                K = _note("explicit.k_head", Z @ w.wup_k[h])
+                V = _note("explicit.v_head", Z @ w.wup_v[h])
+            elif residual_rank(config) > 0:
                 K = _note("explicit.k_head",
                           cache.k_shared[:t] + cache.rk[h, :t] @ w.bk[h].T)
                 V = _note("explicit.v_head",
                           cache.v_shared[:t] + cache.rv[h, :t] @ w.bv[h].T)
-        q = _note("decode.query", x @ w.wq[h])
-        if config.qk_norm:
-            q = _note("explicit.q_norm", rmsnorm(q))
-            K = _note("explicit.k_norm", rmsnorm(K))
-        logits[h] = _note("decode.scores", (q @ K.T) * scale)
-        a = _note("decode.weights", softmax_row(logits[h]))
-        out[h] = _note("decode.out", a @ V)
-    return _finalize(logits, out)
+            elif cache.k is None:  # one shared K/V head: MQA, LRKV at r = 0
+                K, V = cache.k_shared[:t], cache.v_shared[:t]
+            else:  # per-group K/V streams: MHA (G = H), GQA
+                g = gqa_group(h, config.H, kv_heads(config))
+                K, V = cache.k[g, :t], cache.v[g, :t]
+            q = _note("decode.query", x @ w.wq[h])
+            if config.qk_norm:
+                q = _note("explicit.q_norm", rmsnorm(q))
+                K = _note("explicit.k_norm", rmsnorm(K))
+            logits[h] = _note("decode.scores", (q @ K.T) * scale)
+            a = _note("decode.weights", softmax_row(logits[h]))
+            out[h] = _note("decode.out", a @ V)
+        return _finalize(logits, out)
+    except BaseException:
+        cache.length = t - 1  # a failed step takes its row back (see module docstring)
+        raise
 
 
 def decode_factored(
@@ -298,40 +294,44 @@ def decode_factored(
         raise UnsupportedModeError("decode_factored is undefined with qk_norm on")
     append_token(cache, w, config, x)
     t = cache.length
-    scale = config.softmax_scale
-    logits = np.empty((config.H, t), dtype=cache.dtype)
-    out = np.empty((config.H, config.d_h), dtype=cache.dtype)
+    try:
+        scale = config.softmax_scale
+        logits = np.empty((config.H, t), dtype=cache.dtype)
+        out = np.empty((config.H, config.d_h), dtype=cache.dtype)
 
-    if m is Mechanism.MLA:
-        Z = cache.z[:t]
+        if m is Mechanism.MLA:
+            Z = cache.z[:t]
+            for h in range(config.H):
+                q = _note("decode.query", x @ w.wq[h])
+                q_lat = _note("factored.latent_query", q @ w.wup_k[h].T)
+                logits[h] = _note("decode.scores", (Z @ q_lat) * scale)
+                a = _note("decode.weights", softmax_row(logits[h]))
+                az = _note("factored.latent_mix", a @ Z)
+                out[h] = _note("decode.out", az @ w.wup_v[h])
+            return _finalize(logits, out)
+
+        Ks = cache.k_shared[:t]
+        Vs = cache.v_shared[:t]
         for h in range(config.H):
             q = _note("decode.query", x @ w.wq[h])
-            q_lat = _note("factored.latent_query", q @ w.wup_k[h].T)
-            logits[h] = _note("decode.scores", (Z @ q_lat) * scale)
+            base = _note("factored.shared_scores", q @ Ks.T)
+            if config.r == 0:
+                logits[h] = _note("decode.scores", base * scale)
+            else:
+                qb = _note("factored.k_latent_query", q @ w.bk[h])
+                corr = _note("factored.score_correction", cache.rk[h, :t] @ qb)
+                logits[h] = _note("decode.scores", (base + corr) * scale)
             a = _note("decode.weights", softmax_row(logits[h]))
-            az = _note("factored.latent_mix", a @ Z)
-            out[h] = _note("decode.out", az @ w.wup_v[h])
+            base_out = _note("factored.shared_out", a @ Vs)
+            if config.r == 0:
+                out[h] = base_out
+            else:
+                av = _note("factored.v_latent_mix", a @ cache.rv[h, :t])
+                out[h] = _note("decode.out", base_out + av @ w.bv[h].T)
         return _finalize(logits, out)
-
-    Ks = cache.k_shared[:t]
-    Vs = cache.v_shared[:t]
-    for h in range(config.H):
-        q = _note("decode.query", x @ w.wq[h])
-        base = _note("factored.shared_scores", q @ Ks.T)
-        if config.r == 0:
-            logits[h] = _note("decode.scores", base * scale)
-        else:
-            qb = _note("factored.k_latent_query", q @ w.bk[h])
-            corr = _note("factored.score_correction", cache.rk[h, :t] @ qb)
-            logits[h] = _note("decode.scores", (base + corr) * scale)
-        a = _note("decode.weights", softmax_row(logits[h]))
-        base_out = _note("factored.shared_out", a @ Vs)
-        if config.r == 0:
-            out[h] = base_out
-        else:
-            av = _note("factored.v_latent_mix", a @ cache.rv[h, :t])
-            out[h] = _note("decode.out", base_out + av @ w.bv[h].T)
-    return _finalize(logits, out)
+    except BaseException:
+        cache.length = t - 1
+        raise
 
 
 class _ElemCounter:

@@ -56,8 +56,7 @@ from .weights import init_weights
 
 EQUIVALENCE_TOL = {"float64": 1e-9, "float32": 1e-5}
 
-MECHANISM_ORDER = (Mechanism.MHA, Mechanism.MQA, Mechanism.GQA,
-                   Mechanism.MLA, Mechanism.LRKV)
+MECHANISM_ORDER = tuple(Mechanism)
 
 
 def _write_csv(out: str, header: list[str], rows: list[list]) -> None:
@@ -185,18 +184,13 @@ def _cmd_flops(args) -> int:
               "overhead_vs_mha", "proj_new_token", "reconstruct", "scan",
               "lift", "softmax"]
     rows = []
-    paths = {
-        Mechanism.MHA: ("explicit",),
-        Mechanism.MQA: ("explicit",),
-        Mechanism.GQA: ("explicit",),
-        Mechanism.MLA: ("reconstruct", "factored"),
-        Mechanism.LRKV: ("factored",),
-    }
+    # Grouped K/V (MHA, MQA, GQA) is costed along its explicit path.
+    paths = {Mechanism.MLA: ("reconstruct", "factored"), Mechanism.LRKV: ("factored",)}
     for mech in MECHANISM_ORDER:
         config = _apply_overrides(config_for(preset, mech, rank=args.rank), args.set)
         q = CostQuery(config=config, T=args.tokens, batch=1,
                       bytes_per_element=2)
-        for path in paths[mech]:
+        for path in paths.get(mech, ("explicit",)):
             mla_path = path if mech is Mechanism.MLA else "reconstruct"
             total, overhead = decode_flops(q, mla_path=mla_path)
             parts = decode_flops_breakdown(q, mla_path=mla_path)
@@ -211,7 +205,11 @@ def _cmd_flops(args) -> int:
 
 def _cmd_ablate(args) -> int:
     preset = get_preset(args.preset)
-    ranks = [int(x) for x in args.ranks.split(",") if x != ""]
+    try:
+        ranks = [int(x) for x in args.ranks.split(",") if x != ""]
+    except ValueError:
+        raise ConfigurationError(
+            f"--ranks expects comma-separated integers, got {args.ranks!r}") from None
     base = _apply_overrides(config_for(preset, Mechanism.LRKV), args.set)
     rows = ablation_table(base, ranks, T=args.tokens)
     header = ["r", "cache_ratio", "cache_pct", "cache_bytes",

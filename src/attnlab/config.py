@@ -10,7 +10,7 @@ legal because nothing will ever look at it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import ConfigurationError
@@ -91,10 +91,15 @@ class AttentionConfig:
                 raise ConfigurationError(
                     f"MLA requires 1 <= d_c <= d: d_c={self.d_c!r}, d={self.d}"
                 )
+        if not isinstance(self.qk_norm, bool):
+            raise ConfigurationError(f"qk_norm must be a bool, got {self.qk_norm!r}")
         if self.softmax_scale is None:
             object.__setattr__(self, "softmax_scale", 1.0 / math.sqrt(self.d_h))
         else:
-            s = float(self.softmax_scale)
+            try:
+                s = float(self.softmax_scale)
+            except (TypeError, ValueError):
+                s = math.nan  # not a number: rejected as non-finite below
             if not math.isfinite(s) or s <= 0.0:
                 raise ConfigurationError(
                     f"softmax_scale must be finite and positive, got {self.softmax_scale!r}"
@@ -102,28 +107,18 @@ class AttentionConfig:
             object.__setattr__(self, "softmax_scale", s)
 
     def to_json_dict(self) -> dict:
-        return {
-            "mechanism": self.mechanism.value,
-            "d": self.d,
-            "H": self.H,
-            "d_h": self.d_h,
-            "n_layers": self.n_layers,
-            "r": self.r,
-            "d_c": self.d_c,
-            "G": self.G,
-            "qk_norm": self.qk_norm,
-            "softmax_scale": self.softmax_scale,
-        }
+        """Every field, in declaration order; the mechanism by its name."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["mechanism"] = self.mechanism.value
+        return out
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "AttentionConfig":
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"config JSON must be an object, got {obj!r}")
         if "mechanism" not in obj:
             raise ConfigurationError("config JSON is missing the 'mechanism' field")
-        known = {
-            "mechanism", "d", "H", "d_h", "n_layers", "r", "d_c", "G",
-            "qk_norm", "softmax_scale",
-        }
-        extra = set(obj) - known
+        extra = set(obj) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigurationError(f"unknown config fields: {sorted(extra)}")
         kwargs = dict(obj)

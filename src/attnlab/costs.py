@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 from .cache import DecodeCache
 from .config import AttentionConfig, Mechanism
 from .errors import ConfigurationError, UnsupportedMechanismError
+from .weights import kv_heads, residual_rank
 
 MIB = 2**20
 VALID_BYTES_PER_ELEMENT = (1, 2, 4, 8)
@@ -88,16 +89,10 @@ def cache_bytes(q: CostQuery) -> int:
     """KV-cache footprint in bytes for the whole model (all layers)."""
     c = q.config
     n = c.n_layers * q.batch * q.T * q.bytes_per_element
-    m = c.mechanism
-    if m is Mechanism.MHA:
-        return 2 * n * c.H * c.d_h
-    if m is Mechanism.MQA:
-        return 2 * n * c.d_h
-    if m is Mechanism.GQA:
-        return 2 * n * c.G * c.d_h
-    if m is Mechanism.MLA:
+    if c.mechanism is Mechanism.MLA:
         return q.mla_latent_streams * n * c.d_c
-    return 2 * n * (c.d_h + c.H * c.r)  # LRKV
+    # K and V: a d_h row per K/V head, plus LRKV's rank-r latent per head.
+    return 2 * n * (kv_heads(c) * c.d_h + c.H * residual_rank(c))
 
 
 def cache_ratio(
@@ -109,31 +104,17 @@ def cache_ratio(
     config: 1 for MHA, 1/H for MQA, G/H for GQA, streams*d_c/(2*H*d_h) for
     the latent mechanism, and 1/H + r/d_h for the low-rank mechanism.
     """
-    m = config.mechanism
-    if m is Mechanism.MHA:
-        return 1.0
-    if m is Mechanism.MQA:
-        return 1.0 / config.H
-    if m is Mechanism.GQA:
-        return config.G / config.H
-    if m is Mechanism.MLA:
+    if config.mechanism is Mechanism.MLA:
         return mla_latent_streams * config.d_c / (2.0 * config.H * config.d_h)
-    return 1.0 / config.H + config.r / config.d_h
+    return kv_heads(config) / config.H + residual_rank(config) / config.d_h
 
 
 def kv_param_count(config: AttentionConfig) -> int:
     """K/V projection parameters per layer (queries excluded)."""
     c = config
-    m = c.mechanism
-    if m is Mechanism.MHA:
-        return 2 * c.H * c.d * c.d_h
-    if m is Mechanism.MQA:
-        return 2 * c.d * c.d_h
-    if m is Mechanism.GQA:
-        return 2 * c.G * c.d * c.d_h
-    if m is Mechanism.MLA:
+    if c.mechanism is Mechanism.MLA:
         return c.d * c.d_c + 2 * c.H * c.d_c * c.d_h
-    return 2 * c.d * c.d_h + 2 * c.H * c.r * (c.d + c.d_h)
+    return 2 * kv_heads(c) * c.d * c.d_h + 2 * c.H * residual_rank(c) * (c.d + c.d_h)
 
 
 def decode_flops_breakdown(q: CostQuery, mla_path: str = "reconstruct") -> dict[str, int]:
@@ -158,17 +139,7 @@ def decode_flops_breakdown(q: CostQuery, mla_path: str = "reconstruct") -> dict[
     T, H, d, d_h = q.T, c.H, c.d, c.d_h
     ma = FLOPS_PER_MULTIPLY_ADD
     softmax = SOFTMAX_FLOPS_PER_POSITION * T * H
-    m = c.mechanism
-    if m is Mechanism.MHA:
-        proj = H * (ma * d * d_h + 2 * ma * d * d_h)
-        rec, scan, lift = 0, H * 2 * ma * T * d_h, 0
-    elif m is Mechanism.MQA:
-        proj = H * ma * d * d_h + 2 * ma * d * d_h
-        rec, scan, lift = 0, H * 2 * ma * T * d_h, 0
-    elif m is Mechanism.GQA:
-        proj = H * ma * d * d_h + 2 * ma * c.G * d * d_h
-        rec, scan, lift = 0, H * 2 * ma * T * d_h, 0
-    elif m is Mechanism.MLA:
+    if c.mechanism is Mechanism.MLA:
         proj = H * ma * d * d_h + ma * d * c.d_c
         if mla_path == "reconstruct":
             rec = H * 2 * ma * T * c.d_c * d_h
@@ -178,11 +149,12 @@ def decode_flops_breakdown(q: CostQuery, mla_path: str = "reconstruct") -> dict[
             rec = 0
             scan = H * 2 * ma * T * c.d_c
             lift = H * 2 * ma * c.d_c * d_h
-    else:  # LRKV, factored path
-        proj = H * ma * d * d_h + 2 * ma * d * d_h + H * 2 * ma * d * c.r
+    else:  # grouped K/V, explicit path; LRKV adds its rank-r terms, factored path
+        r = residual_rank(c)
+        proj = H * ma * d * d_h + 2 * ma * kv_heads(c) * d * d_h + H * 2 * ma * d * r
         rec = 0
-        scan = H * (2 * ma * T * d_h + 2 * ma * T * c.r)
-        lift = H * 2 * ma * c.r * d_h
+        scan = H * (2 * ma * T * d_h + 2 * ma * T * r)
+        lift = H * 2 * ma * r * d_h
     return {
         "proj_new_token": proj,
         "reconstruct": rec,
@@ -221,12 +193,7 @@ def measured_cache_bytes(cache: DecodeCache, bytes_per_element: int) -> int:
             f"bytes_per_element must be one of {VALID_BYTES_PER_ELEMENT}, "
             f"got {bytes_per_element}"
         )
-    elements = 0
-    for buf in (cache.k, cache.v, cache.k_shared, cache.v_shared,
-                cache.z, cache.rk, cache.rv):
-        if buf is not None:
-            elements += buf.size
-    return elements * bytes_per_element
+    return cache.payload_elements() * bytes_per_element
 
 
 def ablation_table(

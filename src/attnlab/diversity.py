@@ -317,18 +317,17 @@ def factorization_gap(
         raise UnsupportedMechanismError(
             f"factorization_gap compares lrkv weights, got {config.mechanism.value}"
         )
-    if reference.wk is None or reference.wv is None or len(reference.wk) != config.H:
+    expected = (config.H, config.d, config.d_h)
+    if reference.wk is None or reference.wv is None:
         raise ParameterError(
             "reference must carry independent per-head K/V projections "
             f"for H={config.H} heads"
         )
-    expected = (config.d, config.d_h)
-    for h in range(config.H):
-        if reference.wk[h].shape != expected or reference.wv[h].shape != expected:
-            raise ParameterError(
-                f"reference head {h} has shape {reference.wk[h].shape}, "
-                f"expected {expected}"
-            )
+    if reference.wk.shape != expected or reference.wv.shape != expected:
+        raise ParameterError(
+            f"reference K/V stacks have shapes {reference.wk.shape} and "
+            f"{reference.wv.shape}, expected {expected}"
+        )
     if r is None:
         r = config.r
     rows: list[dict] = []

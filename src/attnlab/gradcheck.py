@@ -101,14 +101,8 @@ def gradcheck_rows(
         gen = np.random.Generator(np.random.PCG64(inst_seed).jumped())
         X = gen.standard_normal((T, config.d))
         for path in ("k", "v"):
-            if path == "k":
-                shared = w.wk_shared.copy()
-                us = [u.copy() for u in w.uk]
-                bs = [b.copy() for b in w.bk]
-            else:
-                shared = w.wv_shared.copy()
-                us = [u.copy() for u in w.uv]
-                bs = [b.copy() for b in w.bv]
+            factors = ("wk_shared", "uk", "bk") if path == "k" else ("wv_shared", "uv", "bv")
+            shared, us, bs = (getattr(w, name).copy() for name in factors)
             cotangents = [
                 gen.standard_normal((T, config.d_h)) for _ in range(config.H)
             ]

@@ -10,18 +10,28 @@ The K/V side is where they differ:
     LRKV  Wk_shared + Uk[h] Bk[h]^T  (and the same for V):
           a dense shared base plus a head-specific rank-r residual
 
+MHA, MQA and GQA are grouped K/V with ``kv_heads`` = H, 1 and G (Ainslie et
+al. 2023, "GQA"); LRKV adds a rank-r residual per head to MQA's one shared
+K/V head (``residual_rank``), so at r = 0 it is MQA.
+
 The LRKV residual keeps the projection shape (d, d_h): Uk[h] is (d, r) and
 Bk[h] is (d_h, r), so Uk[h] @ Bk[h].T is a (d, d_h) update of rank <= r.
 
-Initialization is Kaiming-style N(0, 2/fan_in) with fan_in = d (fan_in = d_c
-for the MLA up-projections). The LRKV factor pair is drawn and then U is
-rescaled so that ||U_h B_h^T||_F = 0.1 * ||W_shared||_F holds exactly per
-head and per path: the model starts close to the fully shared baseline.
+``tensor_shapes`` is the one layout table: each populated WeightSet field and
+its shape, in draw order, which is also archive order. Per-head and per-group
+tensors are stacked (n, rows, cols) arrays; the archive stores slice i of
+``wq`` as the matrix ``wq.i``. Weights, archive and decode cache follow it.
+
+Initialization is Kaiming-style N(0, 2/fan_in) with fan_in the row count of
+each matrix: d, or d_c for the MLA up-projections. The LRKV factor pair is
+drawn and then U is rescaled so that ||U_h B_h^T||_F = 0.1 * ||W_shared||_F
+holds exactly per head and per path: the model starts close to the fully
+shared baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,77 +49,104 @@ def gqa_group(head: int, H: int, G: int) -> int:
     return (head * G) // H
 
 
+def kv_heads(config: AttentionConfig) -> int:
+    """Full-rank K/V heads: H for MHA, G for GQA, 1 for MQA and LRKV's base.
+
+    Head h reads K/V head ``gqa_group(h, H, kv_heads(config))``. Not
+    meaningful for MLA, whose per-head K/V come from one shared latent.
+    """
+    return {Mechanism.MHA: config.H, Mechanism.GQA: config.G}.get(config.mechanism, 1)
+
+
+def residual_rank(config: AttentionConfig) -> int:
+    """Rank of each head's K/V residual: r for LRKV, 0 for every other mechanism."""
+    return config.r if config.mechanism is Mechanism.LRKV else 0
+
+
+def tensor_shapes(config: AttentionConfig) -> dict[str, tuple[int, ...]]:
+    """Populated WeightSet field -> shape, in draw order (= archive order).
+
+    A 3-D shape (n, rows, cols) is a stack of one (rows, cols) matrix per
+    head or group; rows is each matrix's fan-in.
+    """
+    d, H, d_h = config.d, config.H, config.d_h
+    shapes = {"wq": (H, d, d_h)}
+    m = config.mechanism
+    if m is Mechanism.MLA:
+        shapes.update(wdown=(d, config.d_c), wup_k=(H, config.d_c, d_h),
+                      wup_v=(H, config.d_c, d_h))
+    elif m in (Mechanism.MHA, Mechanism.GQA):
+        shapes.update(wk=(kv_heads(config), d, d_h), wv=(kv_heads(config), d, d_h))
+    else:  # one shared K/V head: MQA, and LRKV's base
+        shapes.update(wk_shared=(d, d_h), wv_shared=(d, d_h))
+        if m is Mechanism.LRKV:
+            r = config.r
+            shapes.update(uk=(H, d, r), bk=(H, d_h, r), uv=(H, d, r), bv=(H, d_h, r))
+    return shapes
+
+
+def flat_shapes(config: AttentionConfig) -> dict[str, tuple[int, ...]]:
+    """Names, shapes and order of ``named_tensors`` and of the archive's entries:
+    ``tensor_shapes`` with each stack split into matrices ``field.0``, ``field.1``, ..."""
+    out: dict[str, tuple[int, ...]] = {}
+    for field, shape in tensor_shapes(config).items():
+        if len(shape) == 3:
+            out.update((f"{field}.{i}", shape[1:]) for i in range(shape[0]))
+        else:
+            out[field] = shape
+    return out
+
+
 @dataclass(frozen=True)
 class WeightSet:
     """Projection weights for one attention layer.
 
-    ``wq`` is always present, one (d, d_h) matrix per head. Exactly one
-    mechanism payload is populated; the rest stay None. ``config`` records
-    the configuration the weights were generated for (serialization
-    convenience; operations take their config explicitly).
+    ``wq`` is always present, a (H, d, d_h) stack of per-head matrices.
+    Exactly one mechanism payload is populated (see ``tensor_shapes``); the
+    rest stay None. A stacked field may also be passed as a sequence of
+    per-head matrices, which is stacked on construction. ``config``
+    records the configuration the weights were generated for
+    (serialization convenience; operations take their config explicitly).
     """
 
-    wq: tuple[np.ndarray, ...]
+    wq: np.ndarray
     # MHA (per head) / GQA (per group)
-    wk: tuple[np.ndarray, ...] | None = None
-    wv: tuple[np.ndarray, ...] | None = None
+    wk: np.ndarray | None = None
+    wv: np.ndarray | None = None
     # MQA / LRKV shared base
     wk_shared: np.ndarray | None = None
     wv_shared: np.ndarray | None = None
     # LRKV low-rank factors, per head
-    uk: tuple[np.ndarray, ...] | None = None
-    bk: tuple[np.ndarray, ...] | None = None
-    uv: tuple[np.ndarray, ...] | None = None
-    bv: tuple[np.ndarray, ...] | None = None
+    uk: np.ndarray | None = None
+    bk: np.ndarray | None = None
+    uv: np.ndarray | None = None
+    bv: np.ndarray | None = None
     # MLA latent projections
     wdown: np.ndarray | None = None
-    wup_k: tuple[np.ndarray, ...] | None = None
-    wup_v: tuple[np.ndarray, ...] | None = None
+    wup_k: np.ndarray | None = None
+    wup_v: np.ndarray | None = None
     config: AttentionConfig | None = None
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (tuple, list)):
+                object.__setattr__(self, f.name, np.stack(value))
 
     def astype(self, dtype) -> "WeightSet":
         """Return a copy with every tensor cast to ``dtype``."""
-
-        def cast(x):
-            if x is None:
-                return None
-            if isinstance(x, tuple):
-                return tuple(a.astype(dtype) for a in x)
-            return x.astype(dtype)
-
-        return replace(
-            self,
-            wq=cast(self.wq),
-            wk=cast(self.wk),
-            wv=cast(self.wv),
-            wk_shared=cast(self.wk_shared),
-            wv_shared=cast(self.wv_shared),
-            uk=cast(self.uk),
-            bk=cast(self.bk),
-            uv=cast(self.uv),
-            bv=cast(self.bv),
-            wdown=cast(self.wdown),
-            wup_k=cast(self.wup_k),
-            wup_v=cast(self.wup_v),
-        )
+        return replace(self, **{
+            f.name: getattr(self, f.name).astype(dtype) for f in fields(self)
+            if isinstance(getattr(self, f.name), np.ndarray)
+        })
 
     def named_tensors(self) -> dict[str, np.ndarray]:
-        """Flat name -> tensor view of the populated payload (fixed order)."""
+        """Flat name -> matrix view of the payload, in archive order (``flat_shapes``)."""
         out: dict[str, np.ndarray] = {}
-        for h, m in enumerate(self.wq):
-            out[f"wq.{h}"] = m
-        singles = (("wk_shared", self.wk_shared), ("wv_shared", self.wv_shared),
-                   ("wdown", self.wdown))
-        for name, m in singles:
-            if m is not None:
-                out[name] = m
-        stacks = (("wk", self.wk), ("wv", self.wv), ("uk", self.uk),
-                  ("bk", self.bk), ("uv", self.uv), ("bv", self.bv),
-                  ("wup_k", self.wup_k), ("wup_v", self.wup_v))
-        for name, tensors in stacks:
-            if tensors is not None:
-                for i, m in enumerate(tensors):
-                    out[f"{name}.{i}"] = m
+        for name in flat_shapes(self.config):
+            field, _, i = name.partition(".")
+            tensor = getattr(self, field)
+            out[name] = tensor[int(i)] if i else tensor
         return out
 
 
@@ -125,79 +162,39 @@ class ProjectionGrad:
 def init_weights(config: AttentionConfig, rng: RngSpec) -> WeightSet:
     """Draw a WeightSet deterministically from (seed, config).
 
-    Draw order is fixed (queries head-by-head, then the mechanism payload),
-    so identical (seed, config) pairs produce byte-identical weights.
+    Draw order is fixed (``tensor_shapes`` order; LRKV's factors last, as
+    per-head (U, B) pairs, K path then V path), so identical (seed, config)
+    pairs produce byte-identical weights. A stack is one draw: it takes the
+    same values as its matrices drawn one after another.
     """
     gen = np.random.Generator(np.random.PCG64(rng.seed))
-    d, H, d_h = config.d, config.H, config.d_h
-    std = np.sqrt(2.0 / d)
 
-    def draw(rows: int, cols: int, scale: float) -> np.ndarray:
-        return gen.normal(0.0, scale, size=(rows, cols)).astype(DTYPE, copy=False)
+    def draw(shape: tuple[int, ...], scale: float) -> np.ndarray:
+        return gen.normal(0.0, scale, size=shape).astype(DTYPE, copy=False)
 
-    wq = tuple(draw(d, d_h, std) for _ in range(H))
-    m = config.mechanism
+    shapes = tensor_shapes(config)
+    tensors = {
+        name: draw(shape, np.sqrt(2.0 / shape[-2]))
+        for name, shape in shapes.items()
+        if name not in ("uk", "bk", "uv", "bv")  # LRKV's factors: drawn in pairs below
+    }
+    if config.mechanism is not Mechanism.LRKV:
+        return WeightSet(config=config, **tensors)
 
-    if m is Mechanism.MHA:
-        wk = tuple(draw(d, d_h, std) for _ in range(H))
-        wv = tuple(draw(d, d_h, std) for _ in range(H))
-        return WeightSet(wq=wq, wk=wk, wv=wv, config=config)
-
-    if m is Mechanism.MQA:
-        return WeightSet(
-            wq=wq,
-            wk_shared=draw(d, d_h, std),
-            wv_shared=draw(d, d_h, std),
-            config=config,
-        )
-
-    if m is Mechanism.GQA:
-        wk = tuple(draw(d, d_h, std) for _ in range(config.G))
-        wv = tuple(draw(d, d_h, std) for _ in range(config.G))
-        return WeightSet(wq=wq, wk=wk, wv=wv, config=config)
-
-    if m is Mechanism.MLA:
-        wdown = draw(d, config.d_c, std)
-        up_std = np.sqrt(2.0 / config.d_c)
-        wup_k = tuple(draw(config.d_c, d_h, up_std) for _ in range(H))
-        wup_v = tuple(draw(config.d_c, d_h, up_std) for _ in range(H))
-        return WeightSet(wq=wq, wdown=wdown, wup_k=wup_k, wup_v=wup_v, config=config)
-
-    # LRKV: shared bases first, then per-head (U, B) pairs for K then V.
     r = config.r
-    wk_shared = draw(d, d_h, std)
-    wv_shared = draw(d, d_h, std)
-
-    def residual_pair(shared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if r == 0:
-            return (np.zeros((d, 0), dtype=DTYPE), np.zeros((d_h, 0), dtype=DTYPE))
-        u = draw(d, r, std)
-        b = draw(d_h, r, np.sqrt(1.0 / r))
-        # Rescale U (only U) so the residual magnitude is exact, not approximate.
-        res_norm = np.linalg.norm(u @ b.T)
-        target = RESIDUAL_INIT_FRACTION * np.linalg.norm(shared)
-        u = u * (target / res_norm)
-        return u, b
-
-    uk, bk, uv, bv = [], [], [], []
-    for _ in range(H):
-        u, b = residual_pair(wk_shared)
-        uk.append(u)
-        bk.append(b)
-    for _ in range(H):
-        u, b = residual_pair(wv_shared)
-        uv.append(u)
-        bv.append(b)
-    return WeightSet(
-        wq=wq,
-        wk_shared=wk_shared,
-        wv_shared=wv_shared,
-        uk=tuple(uk),
-        bk=tuple(bk),
-        uv=tuple(uv),
-        bv=tuple(bv),
-        config=config,
-    )
+    for u_name, b_name, shared in (("uk", "bk", tensors["wk_shared"]),
+                                   ("uv", "bv", tensors["wv_shared"])):
+        us = np.zeros(shapes[u_name], dtype=DTYPE)
+        bs = np.zeros(shapes[b_name], dtype=DTYPE)
+        for h in range(config.H if r > 0 else 0):  # r = 0: empty factors, no draws
+            u = draw(us.shape[1:], np.sqrt(2.0 / config.d))
+            bs[h] = draw(bs.shape[1:], np.sqrt(1.0 / r))
+            # Rescale U (only U) so the residual magnitude is exact, not approximate.
+            res_norm = np.linalg.norm(u @ bs[h].T)
+            target = RESIDUAL_INIT_FRACTION * np.linalg.norm(shared)
+            us[h] = u * (target / res_norm)
+        tensors[u_name], tensors[b_name] = us, bs
+    return WeightSet(config=config, **tensors)
 
 
 def effective_kv_weights(
@@ -205,28 +202,22 @@ def effective_kv_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resolve (W_h^K, W_h^V), both (d, d_h), for any mechanism.
 
-    For LRKV with r = 0 (or an exactly empty residual) the shared arrays are
-    returned as-is — no arithmetic — so complete sharing is bitwise identical
-    to the MQA path.
+    Grouped K/V (and LRKV with r = 0) return the stored arrays as-is — no
+    arithmetic, no copy: a view of the head's group slice, or the shared
+    arrays themselves, so complete sharing is bitwise identical to MQA.
     """
     if not (0 <= head < config.H):
         raise IndexError(f"head {head} out of range for H={config.H}")
-    m = config.mechanism
-    if m is Mechanism.MHA:
-        return w.wk[head], w.wv[head]
-    if m is Mechanism.MQA:
-        return w.wk_shared, w.wv_shared
-    if m is Mechanism.GQA:
-        g = gqa_group(head, config.H, config.G)
-        return w.wk[g], w.wv[g]
-    if m is Mechanism.MLA:
+    if config.mechanism is Mechanism.MLA:
         return w.wdown @ w.wup_k[head], w.wdown @ w.wup_v[head]
-    # LRKV
-    if config.r == 0:
+    if residual_rank(config) > 0:
+        wk = w.wk_shared + w.uk[head] @ w.bk[head].T
+        wv = w.wv_shared + w.uv[head] @ w.bv[head].T
+        return wk, wv
+    if w.wk is None:  # one shared K/V head
         return w.wk_shared, w.wv_shared
-    wk = w.wk_shared + w.uk[head] @ w.bk[head].T
-    wv = w.wv_shared + w.uv[head] @ w.bv[head].T
-    return wk, wv
+    g = gqa_group(head, config.H, kv_heads(config))
+    return w.wk[g], w.wv[g]
 
 
 def projection_backward(

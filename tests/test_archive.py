@@ -203,3 +203,121 @@ def test_round_trip_property(seed, mechanism, tmp_path_factory):
     again = read_archive(p)
     for name, t in w.named_tensors().items():
         assert np.array_equal(t, again.named_tensors()[name])
+
+
+# Pinned archive layout at d=6, H=2, d_h=3 (float64): per tensor its name,
+# shape, byte offset and byte length, then the header's config JSON.
+PINNED_CONFIG_JSON = (
+    '{{"mechanism":"{m}","d":6,"H":2,"d_h":3,"n_layers":1,"r":{r},"d_c":{d_c},'
+    '"G":1,"qk_norm":false,"softmax_scale":0.5773502691896258}}'
+)
+PINNED_WQ = [("wq.0", (6, 3), 0, 144), ("wq.1", (6, 3), 144, 144)]
+PINNED_SHARED = [("wk_shared", (6, 3), 288, 144), ("wv_shared", (6, 3), 432, 144)]
+PINNED_LAYOUTS = [
+    (cfg(Mechanism.MHA, d=6, H=2, d_h=3), PINNED_WQ + [
+        ("wk.0", (6, 3), 288, 144), ("wk.1", (6, 3), 432, 144),
+        ("wv.0", (6, 3), 576, 144), ("wv.1", (6, 3), 720, 144)]),
+    (cfg(Mechanism.MQA, d=6, H=2, d_h=3), PINNED_WQ + PINNED_SHARED),
+    (cfg(Mechanism.GQA, d=6, H=2, d_h=3, G=1), PINNED_WQ + [
+        ("wk.0", (6, 3), 288, 144), ("wv.0", (6, 3), 432, 144)]),
+    (cfg(Mechanism.MLA, d=6, H=2, d_h=3, d_c=2), PINNED_WQ + [
+        ("wdown", (6, 2), 288, 96),
+        ("wup_k.0", (2, 3), 384, 48), ("wup_k.1", (2, 3), 432, 48),
+        ("wup_v.0", (2, 3), 480, 48), ("wup_v.1", (2, 3), 528, 48)]),
+    (cfg(Mechanism.LRKV, d=6, H=2, d_h=3, r=2), PINNED_WQ + PINNED_SHARED + [
+        ("uk.0", (6, 2), 576, 96), ("uk.1", (6, 2), 672, 96),
+        ("bk.0", (3, 2), 768, 48), ("bk.1", (3, 2), 816, 48),
+        ("uv.0", (6, 2), 864, 96), ("uv.1", (6, 2), 960, 96),
+        ("bv.0", (3, 2), 1056, 48), ("bv.1", (3, 2), 1104, 48)]),
+    (cfg(Mechanism.LRKV, d=6, H=2, d_h=3, r=0), PINNED_WQ + PINNED_SHARED + [
+        (f"{name}.{h}", (rows, 0), 576, 0)
+        for name, rows in (("uk", 6), ("bk", 3), ("uv", 6), ("bv", 3))
+        for h in range(2)]),
+]
+
+
+@pytest.mark.parametrize("config,layout", PINNED_LAYOUTS,
+                         ids=[f"{c.mechanism.value}-r{c.r}" for c, _ in PINNED_LAYOUTS])
+def test_archive_layout_and_draw_order_are_pinned(config, layout, tmp_path):
+    """Archive v1 bytes and the init draw order, spelled out.
+
+    Tensor names, order, shapes, offsets and lengths of the manifest and
+    the config JSON are fixed by format version 1. For the mechanisms
+    without calibrated factors, init_weights draws every tensor from one
+    fresh PCG64(seed) stream in manifest order, each N(0, 2/rows).
+    """
+    w = init_weights(config, RngSpec(seed=5))
+    p = tmp_path / "w.bin"
+    write_archive(w, p)
+    data = p.read_bytes()
+    (n,) = struct.unpack("<Q", data[:8])
+    header = json.loads(data[8 : 8 + n])
+    got = [(t["name"], tuple(t["shape"]), t["offset"], t["length"])
+           for t in header["tensors"]]
+    assert got == layout
+    assert {t["dtype"] for t in header["tensors"]} == {"f64"}
+    assert json.dumps(header["config"], separators=(",", ":")) == PINNED_CONFIG_JSON.format(
+        m=config.mechanism.value, r=config.r, d_c=config.d_c)
+    assert len(data) == 8 + n + layout[-1][2] + layout[-1][3]
+
+    if config.mechanism is not Mechanism.LRKV:
+        gen = np.random.Generator(np.random.PCG64(5))
+        tensors = w.named_tensors()
+        assert list(tensors) == [name for name, *_ in layout]
+        for name, shape, _, _ in layout:
+            want = gen.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
+            assert np.array_equal(tensors[name], want), name
+
+
+def replace_header(path, transform):
+    """Rewrite an archive's header as ``transform(header)``, blob unchanged."""
+    data = path.read_bytes()
+    (n,) = struct.unpack("<Q", data[:8])
+    raw = json.dumps(transform(json.loads(data[8 : 8 + n]))).encode()
+    path.write_bytes(struct.pack("<Q", len(raw)) + raw + data[8 + n :])
+
+
+def _first_entry(**fields):
+    return lambda h: {**h, "tensors": [{**h["tensors"][0], **fields}, *h["tensors"][1:]]}
+
+
+def _config_field(**fields):
+    return lambda h: {**h, "config": {**h["config"], **fields}}
+
+
+# Malformed headers that once escaped read_archive as AttributeError,
+# TypeError or ValueError; each must be an ArchiveError naming the field.
+BAD_HEADERS = {
+    "header-array": (lambda h: [h], "header"),
+    "entry-not-object": (lambda h: {**h, "tensors": [5, *h["tensors"][1:]]},
+                         "manifest entry"),
+    "shape-int": (_first_entry(shape=7), "shape"),
+    "shape-str": (_first_entry(shape="ab"), "shape"),
+    "shape-negative": (_first_entry(shape=[-1, -32]), "shape"),
+    "dtype-list": (_first_entry(dtype=["f64"]), "dtype"),
+    "config-list": (lambda h: {**h, "config": ["mechanism"]}, "config"),
+    "softmax-scale-str": (_config_field(softmax_scale="x"), "softmax_scale"),
+    "qk-norm-str": (_config_field(qk_norm="yes"), "qk_norm"),
+}
+
+
+@pytest.mark.parametrize("mutation", BAD_HEADERS, ids=str)
+def test_malformed_header_raises_archive_error(mutation, tmp_path):
+    transform, field = BAD_HEADERS[mutation]
+    p = tmp_path / "w.bin"
+    # wq.0 is (8, 4): 32 elements, so shape [-1, -32] passes the length check
+    write_archive(init_weights(cfg(Mechanism.MQA, d=8, H=2, d_h=4), RngSpec(seed=12)), p)
+    replace_header(p, transform)
+    with pytest.raises(ArchiveError, match=field):
+        read_archive(p)
+
+
+def test_cli_reports_malformed_archive_with_exit_1(tmp_path, capsys):
+    from attnlab.cli import run_cli
+
+    p = tmp_path / "w.bin"
+    write_archive(init_weights(cfg(Mechanism.LRKV, r=3), RngSpec(seed=13)), p)
+    replace_header(p, BAD_HEADERS["entry-not-object"][0])
+    code = run_cli(["diversity", "--weights", str(p), "--out-prefix", str(tmp_path / "d")])
+    assert code == 1
+    assert "manifest entry" in capsys.readouterr().err

@@ -150,6 +150,31 @@ def test_decode_raises_on_nonfinite_input():
             decode_explicit(cache, w, config, x)
 
 
+@pytest.mark.parametrize("mechanism,kw,decode", [
+    (Mechanism.MHA, {}, decode_explicit),
+    (Mechanism.LRKV, {"r": 5}, decode_explicit),
+    (Mechanism.LRKV, {"r": 5}, decode_factored),
+    (Mechanism.MLA, {"d_c": 10}, decode_explicit),
+    (Mechanism.MLA, {"d_c": 10}, decode_factored),
+], ids=["mha-explicit", "lrkv-explicit", "lrkv-factored", "mla-explicit",
+        "mla-factored"])
+def test_failed_step_leaves_cache_usable(mechanism, kw, decode):
+    """A step that raises keeps the cache length; the next step is unaffected."""
+    config = cfg(mechanism, **kw)
+    w = init_weights(config, RngSpec(seed=12))
+    X = np.random.default_rng(13).standard_normal((5, config.d))
+    hit = prefill(w, config, X[:4], capacity=6)
+    clean = prefill(w, config, X[:4], capacity=6)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError):
+            decode(hit, w, config, np.full(config.d, np.nan))
+    assert hit.length == 4
+    got = decode(hit, w, config, X[4])
+    want = decode(clean, w, config, X[4])
+    assert np.array_equal(got.logits, want.logits)
+    assert np.array_equal(got.out, want.out)
+
+
 def test_factored_transients_are_small_vectors(log):
     """The factored decode path must never build a (t, d_h) matrix."""
     config = cfg(Mechanism.LRKV, r=5)

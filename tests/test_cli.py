@@ -253,3 +253,12 @@ def test_error_exit_codes(tmp_path, capsys):
     assert run_cli(["diversity", "--weights", str(tmp_path / "none.bin"),
                     "--out-prefix", str(tmp_path / "x")]) == 2
     capsys.readouterr()
+
+
+def test_bad_override_and_rank_values_are_usage_errors(capsys):
+    assert run_cli(["memory", "--preset", "128M", "--set", "softmax_scale=abc"]) == 2
+    assert "softmax_scale" in capsys.readouterr().err
+    assert run_cli(["memory", "--preset", "128M", "--set", "qk_norm=yes"]) == 2
+    assert "qk_norm" in capsys.readouterr().err
+    assert run_cli(["ablate", "--preset", "128M", "--ranks", "8,x"]) == 2
+    assert "--ranks" in capsys.readouterr().err

@@ -125,3 +125,23 @@ def test_rng_spec_validation():
         RngSpec(seed=2**64)
     with pytest.raises(ConfigurationError):
         RngSpec(seed=3, algorithm="mt19937")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("softmax_scale", "abc"),
+    ("softmax_scale", [0.5]),
+    ("qk_norm", "yes"),
+    ("qk_norm", 1),
+])
+def test_wrongly_typed_fields_raise_configuration_error(field, value):
+    kwargs = dict(mechanism="mha", d=64, H=4, d_h=16)
+    with pytest.raises(ConfigurationError, match=field):
+        AttentionConfig(**kwargs, **{field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        AttentionConfig.from_json_dict({**kwargs, field: value})
+
+
+def test_from_json_dict_rejects_non_objects():
+    for bad in (["mechanism"], "mechanism", 5):
+        with pytest.raises(ConfigurationError):
+            AttentionConfig.from_json_dict(bad)
