@@ -23,14 +23,13 @@ from attnlab import (
 def sample_config(rng: np.random.Generator, mechanism: Mechanism) -> AttentionConfig:
     H = int(rng.integers(2, 9))
     d_h = int(rng.choice([8, 16, 32, 64]))
+    d = H * d_h
     kwargs = {}
     if mechanism is Mechanism.LRKV:
         kwargs["r"] = int(rng.integers(0, d_h + 1))
-    if mechanism is Mechanism.MLA:
-        kwargs["d_c"] = int(rng.choice([8, 16, 32, 64]))
-    return AttentionConfig(
-        mechanism=mechanism, d=H * d_h, H=H, d_h=d_h, **kwargs
-    )
+    if mechanism is Mechanism.MLA:  # the latent is no wider than the model
+        kwargs["d_c"] = int(rng.choice([c for c in (8, 16, 32, 64) if c <= d]))
+    return AttentionConfig(mechanism=mechanism, d=d, H=H, d_h=d_h, **kwargs)
 
 
 def main() -> None:

@@ -29,14 +29,16 @@ def rmsnorm(x: np.ndarray, eps: float = RMSNORM_EPS) -> np.ndarray:
 
 
 def softmax_row(scores: np.ndarray) -> np.ndarray:
-    """Stable softmax over a 1-D score vector.
+    """Stable softmax along the last axis of a score array.
 
+    A 1-D vector is one row; an (H, t) array is H rows, e.g. one per head of
+    a decode step, and each row comes out bit-identical to its 1-D softmax.
     Max-subtracted; the normalizer is accumulated in float64 regardless of
     the working dtype, then the result is cast back.
     """
-    m = np.max(scores)
+    m = np.max(scores, axis=-1, keepdims=True)
     e = np.exp(scores - m)
-    denom = e.sum(dtype=np.float64)
+    denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
     return (e / denom).astype(scores.dtype, copy=False)
 
 

@@ -20,22 +20,35 @@ identical logits and outputs without ever forming a (T, d_h) per-head
 matrix, by pushing the query and the attention weights through the small
 factors instead. The two paths are algebraically equal; floating point
 leaves differences at the 1e-9 level (float64) for prefixes up to 4096.
-A decode step that raises (say, on a non-finite token) sets the cache length
-back, so the cache stays usable: the row it wrote lies past ``length``,
-where no read sees it and the next append overwrites it.
+
+Both paths batch the heads: the step's queries are one (H, d_h) block, and
+each cached stream (a K/V group, the shared K/V, Z, the stacked latents) is
+read by one matmul per step for all the heads that use it, not once per
+head. The heads' softmaxes are one ``softmax_row`` over (H, t) logits.
+
+A decode step that raises (say, on logits that overflow) sets the cache
+length back, so the cache stays usable: the row it wrote lies past
+``length``, where no read sees it and the next append overwrites it. A token
+with a non-finite entry is rejected before any row is written.
 
 Prefill and append run token rows through one shared projection helper, so
 "prefill the whole prompt" and "append tokens one at a time" fill the cache
-with bit-identical contents.
+with bit-identical contents. A stacked stream is written by one ``x @ stack``,
+which equals the per-slice matvecs bit for bit.
 
 A process-wide allocation hook (``set_alloc_hook``) observes every transient
-array the decode paths create, tagged by role. Tests use it to verify the
+array the decode paths create, tagged by role. A stacked (n, ...) transient
+is reported as n events of its per-head (or per-group) slice shape, so the
+events are those of a head-by-head computation. Tests use it to verify the
 factored path's working set stays O(r + d_h) per head regardless of prefix
 length; ``equivalence_report`` uses it to count elements touched per step.
+Because it reports slices, the hook cannot show how large an allocation
+really was; a tracemalloc test measures that.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,8 +64,7 @@ from .errors import (
     UnsupportedMechanismError,
     UnsupportedModeError,
 )
-from .weights import (WeightSet, gqa_group, init_weights, kv_heads, residual_rank,
-                      tensor_shapes)
+from .weights import WeightSet, init_weights, residual_rank, tensor_shapes
 
 _MASK64 = (1 << 64) - 1
 
@@ -88,6 +100,18 @@ def _note(tag: str, arr: np.ndarray) -> np.ndarray:
     if _alloc_hook is not None:
         _alloc_hook(tag, tuple(arr.shape))
     return arr
+
+
+def _note_stack(tag: str, stack: np.ndarray) -> np.ndarray:
+    """Report a stacked transient as one event per head or group slice.
+
+    ``stack`` holds one slice per head (or K/V group) along axis 0; the hook
+    sees n events of the slice shape, as if each were computed on its own.
+    """
+    if _alloc_hook is not None:
+        for _ in range(stack.shape[0]):
+            _alloc_hook(tag, tuple(stack.shape[1:]))
+    return stack
 
 
 @dataclass
@@ -165,11 +189,16 @@ def append_token(
 
     This is the only code path that writes cache rows (prefill loops over
     it), so incremental and whole-prompt filling agree exactly. A stacked
-    stream gets one matvec per head or group slice.
+    stream gets one ``x @ stack`` for all its head or group slices. A token
+    with a non-finite entry is rejected before anything is written.
     """
     x = np.asarray(x)
     if x.shape != (config.d,):
         raise DimensionError(f"token must have shape ({config.d},), got {x.shape}")
+    # x.dot(x), one BLAS call, is finite unless an entry is non-finite or a
+    # square overflows; only then is the slower elementwise test needed.
+    if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
+        raise NumericalError("token has non-finite entries")
     if cache.length >= cache.capacity:
         raise CapacityError(
             f"cache full: capacity {cache.capacity}, length {cache.length}"
@@ -179,12 +208,10 @@ def append_token(
         buf = getattr(cache, field)
         if buf is None:
             continue
-        proj = getattr(w, weight)
         if buf.ndim == 2:
-            buf[t] = _note(tag, x @ proj)
+            buf[t] = _note(tag, x @ getattr(w, weight))
         else:
-            for i in range(buf.shape[0]):
-                buf[i, t] = _note(tag, x @ proj[i])
+            buf[:, t] = _note_stack(tag, x @ getattr(w, weight))
     cache.length = t + 1
     return cache
 
@@ -216,9 +243,41 @@ def prefill(
 
 
 def _finalize(logits: np.ndarray, out: np.ndarray) -> DecodeStepOutput:
+    """Check a step's (H, t) logits and (H, d_h) outputs; outputs take the
+    logits' dtype, which is the cache's."""
     if not (np.isfinite(logits).all() and np.isfinite(out).all()):
         raise NumericalError("decode produced non-finite logits or outputs")
-    return DecodeStepOutput(logits=logits, out=out)
+    return DecodeStepOutput(logits=logits, out=out.astype(logits.dtype, copy=False))
+
+
+def _scaled(scores: np.ndarray, config: AttentionConfig, cache: DecodeCache) -> np.ndarray:
+    """Scaled (H, t) logits in the cache's dtype, which the softmax then keeps."""
+    return (scores * config.softmax_scale).astype(cache.dtype, copy=False)
+
+
+def _rowwise(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Row h of ``rows`` times matrix h of ``stack``: (H, m) x (H, m, n) -> (H, n)."""
+    return (rows[:, None, :] @ stack)[:, 0]
+
+
+def _explicit_kv(cache: DecodeCache, w: WeightSet, config: AttentionConfig, t: int):
+    """K and V over the t cached positions, each (n, t, d_h) for n K/V heads.
+
+    n is H where each head has its own K/V (MHA, MLA, LRKV at r > 0), G for
+    GQA and 1 for one shared K/V head (MQA, LRKV at r = 0). Reconstructed
+    heads are fresh arrays; stored streams are views of the cache.
+    """
+    if config.mechanism is Mechanism.MLA:
+        Z = cache.z[:t]
+        return (_note_stack("explicit.k_head", Z @ w.wup_k),
+                _note_stack("explicit.v_head", Z @ w.wup_v))
+    if residual_rank(config) > 0:
+        K = cache.k_shared[:t] + cache.rk[:, :t] @ w.bk.transpose(0, 2, 1)
+        V = cache.v_shared[:t] + cache.rv[:, :t] @ w.bv.transpose(0, 2, 1)
+        return _note_stack("explicit.k_head", K), _note_stack("explicit.v_head", V)
+    if cache.k is None:  # one shared K/V head: MQA, LRKV at r = 0
+        return cache.k_shared[None, :t], cache.v_shared[None, :t]
+    return cache.k[:, :t], cache.v[:, :t]  # per-group streams: MHA (G = H), GQA
 
 
 def decode_explicit(
@@ -230,35 +289,23 @@ def decode_explicit(
     each head's K and V over all cached positions are reconstructed as
     (t, d_h) matrices and ordinary scaled-dot-product attention runs on
     top. The new token attends to itself (standard causal decoding).
+    Heads sharing a K/V head are one (H/n, d_h) query block against it;
+    ``gqa_group`` gives each K/V head a contiguous block of heads.
     """
     append_token(cache, w, config, x)
     t = cache.length
     try:
-        scale = config.softmax_scale
-        logits = np.empty((config.H, t), dtype=cache.dtype)
-        out = np.empty((config.H, config.d_h), dtype=cache.dtype)
-        for h in range(config.H):
-            if config.mechanism is Mechanism.MLA:
-                Z = cache.z[:t]
-                K = _note("explicit.k_head", Z @ w.wup_k[h])
-                V = _note("explicit.v_head", Z @ w.wup_v[h])
-            elif residual_rank(config) > 0:
-                K = _note("explicit.k_head",
-                          cache.k_shared[:t] + cache.rk[h, :t] @ w.bk[h].T)
-                V = _note("explicit.v_head",
-                          cache.v_shared[:t] + cache.rv[h, :t] @ w.bv[h].T)
-            elif cache.k is None:  # one shared K/V head: MQA, LRKV at r = 0
-                K, V = cache.k_shared[:t], cache.v_shared[:t]
-            else:  # per-group K/V streams: MHA (G = H), GQA
-                g = gqa_group(h, config.H, kv_heads(config))
-                K, V = cache.k[g, :t], cache.v[g, :t]
-            q = _note("decode.query", x @ w.wq[h])
-            if config.qk_norm:
-                q = _note("explicit.q_norm", rmsnorm(q))
-                K = _note("explicit.k_norm", rmsnorm(K))
-            logits[h] = _note("decode.scores", (q @ K.T) * scale)
-            a = _note("decode.weights", softmax_row(logits[h]))
-            out[h] = _note("decode.out", a @ V)
+        H, d_h = config.H, config.d_h
+        K, V = _explicit_kv(cache, w, config, t)
+        n = K.shape[0]
+        Q = _note_stack("decode.query", x @ w.wq)
+        if config.qk_norm:
+            Q = _note_stack("explicit.q_norm", rmsnorm(Q))
+            K = _note_stack("explicit.k_norm", rmsnorm(K))
+        scores = (Q.reshape(n, H // n, d_h) @ K.transpose(0, 2, 1)).reshape(H, t)
+        logits = _note_stack("decode.scores", _scaled(scores, config, cache))
+        A = _note_stack("decode.weights", softmax_row(logits))
+        out = _note_stack("decode.out", (A.reshape(n, H // n, t) @ V).reshape(H, d_h))
         return _finalize(logits, out)
     except BaseException:
         cache.length = t - 1  # a failed step takes its row back (see module docstring)
@@ -284,6 +331,8 @@ def decode_factored(
 
     Both are exact rewrites of the explicit path. Only defined with
     qk_norm off (row normalization does not commute with the factors).
+    Each line runs for all heads at once: the (H, d_h) query block reads
+    K_shared, V_shared or Z once per step.
     """
     m = config.mechanism
     if m not in (Mechanism.LRKV, Mechanism.MLA):
@@ -295,39 +344,34 @@ def decode_factored(
     append_token(cache, w, config, x)
     t = cache.length
     try:
-        scale = config.softmax_scale
-        logits = np.empty((config.H, t), dtype=cache.dtype)
-        out = np.empty((config.H, config.d_h), dtype=cache.dtype)
+        Q = _note_stack("decode.query", x @ w.wq)
 
         if m is Mechanism.MLA:
             Z = cache.z[:t]
-            for h in range(config.H):
-                q = _note("decode.query", x @ w.wq[h])
-                q_lat = _note("factored.latent_query", q @ w.wup_k[h].T)
-                logits[h] = _note("decode.scores", (Z @ q_lat) * scale)
-                a = _note("decode.weights", softmax_row(logits[h]))
-                az = _note("factored.latent_mix", a @ Z)
-                out[h] = _note("decode.out", az @ w.wup_v[h])
+            q_lat = _note_stack("factored.latent_query",
+                                _rowwise(Q, w.wup_k.transpose(0, 2, 1)))
+            logits = _note_stack("decode.scores", _scaled(q_lat @ Z.T, config, cache))
+            A = _note_stack("decode.weights", softmax_row(logits))
+            az = _note_stack("factored.latent_mix", A @ Z)
+            out = _note_stack("decode.out", _rowwise(az, w.wup_v))
             return _finalize(logits, out)
 
-        Ks = cache.k_shared[:t]
-        Vs = cache.v_shared[:t]
-        for h in range(config.H):
-            q = _note("decode.query", x @ w.wq[h])
-            base = _note("factored.shared_scores", q @ Ks.T)
-            if config.r == 0:
-                logits[h] = _note("decode.scores", base * scale)
-            else:
-                qb = _note("factored.k_latent_query", q @ w.bk[h])
-                corr = _note("factored.score_correction", cache.rk[h, :t] @ qb)
-                logits[h] = _note("decode.scores", (base + corr) * scale)
-            a = _note("decode.weights", softmax_row(logits[h]))
-            base_out = _note("factored.shared_out", a @ Vs)
-            if config.r == 0:
-                out[h] = base_out
-            else:
-                av = _note("factored.v_latent_mix", a @ cache.rv[h, :t])
-                out[h] = _note("decode.out", base_out + av @ w.bv[h].T)
+        base = _note_stack("factored.shared_scores", Q @ cache.k_shared[:t].T)
+        if config.r == 0:
+            logits = _note_stack("decode.scores", _scaled(base, config, cache))
+        else:
+            qb = _note_stack("factored.k_latent_query", _rowwise(Q, w.bk))
+            corr = _note_stack("factored.score_correction",
+                               (cache.rk[:, :t] @ qb[:, :, None])[:, :, 0])
+            logits = _note_stack("decode.scores", _scaled(base + corr, config, cache))
+        A = _note_stack("decode.weights", softmax_row(logits))
+        base_out = _note_stack("factored.shared_out", A @ cache.v_shared[:t])
+        if config.r == 0:
+            out = base_out
+        else:
+            av = _note_stack("factored.v_latent_mix", _rowwise(A, cache.rv[:, :t]))
+            out = _note_stack("decode.out",
+                              base_out + _rowwise(av, w.bv.transpose(0, 2, 1)))
         return _finalize(logits, out)
     except BaseException:
         cache.length = t - 1

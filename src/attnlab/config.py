@@ -34,6 +34,11 @@ class Mechanism(str, Enum):
             ) from None
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool: ``True`` is an int to Python, never a width."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class AttentionConfig:
     """Dimensions and flags for one attention layer.
@@ -65,7 +70,7 @@ class AttentionConfig:
             object.__setattr__(self, "mechanism", Mechanism.parse(str(self.mechanism)))
         for name in ("d", "H", "d_h", "n_layers"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ConfigurationError(f"{name} must be a positive int, got {v!r}")
         if self.d != self.H * self.d_h:
             raise ConfigurationError(
@@ -73,21 +78,21 @@ class AttentionConfig:
             )
         m = self.mechanism
         if m is Mechanism.GQA:
-            if not isinstance(self.G, int) or self.G < 1:
+            if not _is_int(self.G) or self.G < 1:
                 raise ConfigurationError(f"G must be a positive int, got {self.G!r}")
             if self.H % self.G != 0:
                 raise ConfigurationError(
                     f"GQA requires H mod G = 0: H={self.H}, G={self.G}"
                 )
         if m is Mechanism.LRKV:
-            if not isinstance(self.r, int) or self.r < 0:
+            if not _is_int(self.r) or self.r < 0:
                 raise ConfigurationError(f"r must be a non-negative int, got {self.r!r}")
             if self.r > self.d:
                 raise ConfigurationError(
                     f"LRKV requires r <= d: r={self.r}, d={self.d}"
                 )
         if m is Mechanism.MLA:
-            if not isinstance(self.d_c, int) or not (1 <= self.d_c <= self.d):
+            if not _is_int(self.d_c) or not (1 <= self.d_c <= self.d):
                 raise ConfigurationError(
                     f"MLA requires 1 <= d_c <= d: d_c={self.d_c!r}, d={self.d}"
                 )

@@ -108,6 +108,34 @@ def test_qk_norm_changes_output_but_stays_finite():
     assert not np.allclose(Y, Yn)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_softmax_row_of_a_stack_is_the_softmax_of_each_row(dtype):
+    scores = (np.random.default_rng(2).standard_normal((5, 300)) * 8).astype(dtype)
+    scores[1, :] = 3.0  # a tie across the whole row
+    stacked = softmax_row(scores)
+    assert stacked.dtype == dtype and stacked.shape == scores.shape
+    for h in range(scores.shape[0]):
+        assert softmax_row(scores[h]).tobytes() == stacked[h].tobytes(), h
+
+
+# Decode shapes ALL_CONFIGS leaves out: GQA with two heads per group, and
+# qk_norm on for every mechanism.
+DECODE_CONFIGS = [
+    cfg(Mechanism.GQA, d=64, H=4, G=2),
+    cfg(Mechanism.MHA, qk_norm=True),
+    cfg(Mechanism.MQA, qk_norm=True),
+    cfg(Mechanism.GQA, d=64, H=4, G=2, qk_norm=True),
+    cfg(Mechanism.MLA, d_c=10, qk_norm=True),
+    cfg(Mechanism.LRKV, r=5, qk_norm=True),
+]
+
+
+@pytest.mark.parametrize("config", DECODE_CONFIGS,
+                         ids=lambda c: f"{c.mechanism.value}-H{c.H}-qk{int(c.qk_norm)}")
+def test_forward_agrees_with_incremental_decode_beyond_all_configs(config):
+    test_forward_agrees_with_incremental_decode(config)
+
+
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: f"{c.mechanism.value}-r{c.r}")
 def test_forward_agrees_with_incremental_decode(config):
     """Whole-sequence attention and step-by-step decoding tell one story."""

@@ -262,3 +262,9 @@ def test_bad_override_and_rank_values_are_usage_errors(capsys):
     assert "qk_norm" in capsys.readouterr().err
     assert run_cli(["ablate", "--preset", "128M", "--ranks", "8,x"]) == 2
     assert "--ranks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["r", "n_layers"])
+def test_bool_override_of_an_integer_field_is_a_usage_error(capsys, field):
+    assert run_cli(["memory", "--preset", "128M", "--set", f"{field}=true"]) == 2
+    assert field in capsys.readouterr().err

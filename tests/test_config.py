@@ -145,3 +145,19 @@ def test_from_json_dict_rejects_non_objects():
     for bad in (["mechanism"], "mechanism", 5):
         with pytest.raises(ConfigurationError):
             AttentionConfig.from_json_dict(bad)
+
+
+@pytest.mark.parametrize("field,mechanism", [
+    ("d", "mha"), ("H", "mha"), ("d_h", "mha"), ("n_layers", "mha"),
+    ("r", "lrkv"), ("d_c", "mla"), ("G", "gqa"),
+])
+def test_bool_is_not_an_integer_field(field, mechanism):
+    kwargs = dict(mechanism=mechanism, d=4, H=2, d_h=2, r=1, d_c=1, G=1)
+    AttentionConfig(**kwargs)  # the same config with ints builds
+    if field in ("d", "H", "d_h"):
+        kwargs.update(d=1, H=1, d_h=1)  # d = H * d_h still holds with True
+    kwargs[field] = True
+    with pytest.raises(ConfigurationError, match=field):
+        AttentionConfig(**kwargs)
+    with pytest.raises(ConfigurationError, match=field):
+        AttentionConfig.from_json_dict(kwargs)
