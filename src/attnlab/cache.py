@@ -26,15 +26,23 @@ each cached stream (a K/V group, the shared K/V, Z, the stacked latents) is
 read by one matmul per step for all the heads that use it, not once per
 head. The heads' softmaxes are one ``softmax_row`` over (H, t) logits.
 
-A decode step that raises (say, on logits that overflow) sets the cache
-length back, so the cache stays usable: the row it wrote lies past
-``length``, where no read sees it and the next append overwrites it. A token
-with a non-finite entry is rejected before any row is written.
+Rows past ``length`` are zero, as in a fresh cache. A decode step that
+raises (say, on logits that overflow) sets the cache back: ``length``
+returns and the rows it wrote are zeroed, so the cache is bit for bit what
+it was. A token with a NaN or infinite entry is rejected before any row is
+written; a finite token whose projected rows overflow the cache dtype is
+rejected the same way a failed step is.
 
-Prefill and append run token rows through one shared projection helper, so
-"prefill the whole prompt" and "append tokens one at a time" fill the cache
-with bit-identical contents. A stacked stream is written by one ``x @ stack``,
-which equals the per-slice matvecs bit for bit.
+Prefill and append write rows through one projection helper: ``append_token``
+passes its token as a one-row block, ``prefill`` the whole (T, d) prompt. Each
+stream's rows are one broadcast matmul, ``(X[:, None, :] @ W[..., None, :, :])``,
+written straight into the cache buffer. numpy runs it as one gemv per row with
+the head (or group) axis outermost, so a (d, cols) weight slice is read from
+memory once per block and from cache for every row after the first. Each row
+equals the token's own ``x @ W`` bit for bit, so "prefill the whole prompt"
+and "append tokens one at a time" fill the cache with bit-identical contents
+by construction. A GEMM (``X @ W``) would be faster still, but it accumulates
+in another order and does not match.
 
 A process-wide allocation hook (``set_alloc_hook``) observes every transient
 array the decode paths create, tagged by role. A stacked (n, ...) transient
@@ -95,11 +103,14 @@ def set_alloc_hook(fn: AllocHook | None) -> AllocHook | None:
     return prev
 
 
-def _note(tag: str, arr: np.ndarray) -> np.ndarray:
-    """Report a freshly allocated transient to the hook; returns it unchanged."""
+def _note_rows(tag: str, rows: np.ndarray) -> np.ndarray:
+    """Report (..., T, cols) projected rows as one (cols,) event per row, as
+    T appends of one token each would."""
     if _alloc_hook is not None:
-        _alloc_hook(tag, tuple(arr.shape))
-    return arr
+        shape = rows.shape[-1:]
+        for _ in range(math.prod(rows.shape[:-1])):
+            _alloc_hook(tag, shape)
+    return rows
 
 
 def _note_stack(tag: str, stack: np.ndarray) -> np.ndarray:
@@ -109,8 +120,9 @@ def _note_stack(tag: str, stack: np.ndarray) -> np.ndarray:
     sees n events of the slice shape, as if each were computed on its own.
     """
     if _alloc_hook is not None:
+        shape = stack.shape[1:]
         for _ in range(stack.shape[0]):
-            _alloc_hook(tag, tuple(stack.shape[1:]))
+            _alloc_hook(tag, shape)
     return stack
 
 
@@ -134,10 +146,13 @@ class DecodeCache:
     rk: np.ndarray | None = None        # (H, cap, r) LRKV
     rv: np.ndarray | None = None
 
+    def _buffers(self) -> list[np.ndarray]:
+        """The allocated stream buffers, in ``STREAMS`` order."""
+        return [buf for buf in (getattr(self, f) for f in STREAMS) if buf is not None]
+
     def payload_elements(self) -> int:
         """Elements held by the cache buffers (at full capacity)."""
-        buffers = (getattr(self, field) for field in STREAMS)
-        return sum(buf.size for buf in buffers if buf is not None)
+        return sum(buf.size for buf in self._buffers())
 
     def payload_nbytes(self) -> int:
         """Total bytes held by the cache buffers (at full capacity)."""
@@ -182,38 +197,67 @@ def empty_cache(config: AttentionConfig, capacity: int, dtype=np.float64) -> Dec
     return cache
 
 
+def _append_rows(
+    cache: DecodeCache, w: WeightSet, X: np.ndarray
+) -> DecodeCache:
+    """Project the (T, d) token block X and write its rows at ``cache.length``.
+
+    The only code path that writes cache rows (see the module docstring).
+    Each stream's rows are projected straight into the cache, past
+    ``length``, and checked before ``length`` advances: a block with a
+    non-finite entry is rejected before anything is written, and a block
+    that fails later (rows that overflow the cache dtype) has its rows
+    zeroed again, so either way the cache is left as it was.
+    """
+    t, T = cache.length, X.shape[0]
+    if t + T > cache.capacity:
+        raise CapacityError(
+            f"cache full: capacity {cache.capacity}, length {t}, {T} new rows"
+        )
+    # vdot(X, X), one BLAS call, is finite unless an entry is non-finite or a
+    # square overflows; only then is the slower elementwise test needed. The
+    # row sums below screen the same way for rows that overflow.
+    if not math.isfinite(np.vdot(X, X)) and not np.isfinite(X).all():
+        raise NumericalError("token has non-finite entries")
+    X = X[:, None, :]  # (T, 1, d): one gemv per row (see the module docstring)
+    screen = 0.0
+    try:
+        for field, (weight, tag) in STREAMS.items():
+            buf = getattr(cache, field)
+            if buf is not None:
+                rows = buf[..., t:t + T, None, :]
+                np.matmul(X, getattr(w, weight)[..., None, :, :], out=rows)
+                screen += np.add.reduce(_note_rows(tag, rows), None)
+        if not math.isfinite(screen) and not all(
+            np.isfinite(buf[..., t:t + T, :]).all() for buf in cache._buffers()
+        ):
+            raise NumericalError("token rows overflow the cache dtype")
+    except BaseException:
+        _truncate(cache, t)
+        raise
+    cache.length = t + T
+    return cache
+
+
+def _truncate(cache: DecodeCache, length: int) -> None:
+    """Set the cache back to ``length`` rows and zero every row past it."""
+    for buf in cache._buffers():
+        buf[..., length:, :] = 0
+    cache.length = length
+
+
 def append_token(
     cache: DecodeCache, w: WeightSet, config: AttentionConfig, x: np.ndarray
 ) -> DecodeCache:
     """Project one token and write its cache row(s); returns the same cache.
 
-    This is the only code path that writes cache rows (prefill loops over
-    it), so incremental and whole-prompt filling agree exactly. A stacked
-    stream gets one ``x @ stack`` for all its head or group slices. A token
-    with a non-finite entry is rejected before anything is written.
+    A token whose rows would not be finite in the cache dtype is rejected
+    and leaves the cache as it was.
     """
     x = np.asarray(x)
     if x.shape != (config.d,):
         raise DimensionError(f"token must have shape ({config.d},), got {x.shape}")
-    # x.dot(x), one BLAS call, is finite unless an entry is non-finite or a
-    # square overflows; only then is the slower elementwise test needed.
-    if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
-        raise NumericalError("token has non-finite entries")
-    if cache.length >= cache.capacity:
-        raise CapacityError(
-            f"cache full: capacity {cache.capacity}, length {cache.length}"
-        )
-    t = cache.length
-    for field, (weight, tag) in STREAMS.items():
-        buf = getattr(cache, field)
-        if buf is None:
-            continue
-        if buf.ndim == 2:
-            buf[t] = _note(tag, x @ getattr(w, weight))
-        else:
-            buf[:, t] = _note_stack(tag, x @ getattr(w, weight))
-    cache.length = t + 1
-    return cache
+    return _append_rows(cache, w, x[None])
 
 
 def prefill(
@@ -223,10 +267,13 @@ def prefill(
     capacity: int | None = None,
     dtype=None,
 ) -> DecodeCache:
-    """Build a cache for a whole prompt (row-by-row, see append_token).
+    """Build a cache for a whole prompt, bit-identical to T ``append_token`` calls.
 
-    ``capacity`` defaults to exactly len(X); pass more to leave room for
-    decode steps. ``dtype`` defaults to X's dtype.
+    The prompt is one block through the projection helper: no per-token
+    loop, one broadcast matmul per stream (see the module docstring). A
+    prompt with any token that ``append_token`` would reject is rejected
+    whole. ``capacity`` defaults to exactly len(X); pass more to leave room
+    for decode steps. ``dtype`` defaults to X's dtype.
     """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != config.d:
@@ -237,15 +284,17 @@ def prefill(
     if capacity < T:
         raise CapacityError(f"capacity {capacity} < prompt length {T}")
     cache = empty_cache(config, capacity, dtype=X.dtype if dtype is None else dtype)
-    for i in range(T):
-        append_token(cache, w, config, X[i])
-    return cache
+    return _append_rows(cache, w, X)
 
 
 def _finalize(logits: np.ndarray, out: np.ndarray) -> DecodeStepOutput:
     """Check a step's (H, t) logits and (H, d_h) outputs; outputs take the
     logits' dtype, which is the cache's."""
-    if not (np.isfinite(logits).all() and np.isfinite(out).all()):
+    # The same screen as for tokens: sums of squares are finite unless an
+    # entry is non-finite or a square overflows.
+    if not math.isfinite(np.vdot(logits, logits) + np.vdot(out, out)) and not (
+        np.isfinite(logits).all() and np.isfinite(out).all()
+    ):
         raise NumericalError("decode produced non-finite logits or outputs")
     return DecodeStepOutput(logits=logits, out=out.astype(logits.dtype, copy=False))
 
@@ -308,7 +357,7 @@ def decode_explicit(
         out = _note_stack("decode.out", (A.reshape(n, H // n, t) @ V).reshape(H, d_h))
         return _finalize(logits, out)
     except BaseException:
-        cache.length = t - 1  # a failed step takes its row back (see module docstring)
+        _truncate(cache, t - 1)  # a failed step takes its row back (see module docstring)
         raise
 
 
@@ -374,7 +423,7 @@ def decode_factored(
                               base_out + _rowwise(av, w.bv.transpose(0, 2, 1)))
         return _finalize(logits, out)
     except BaseException:
-        cache.length = t - 1
+        _truncate(cache, t - 1)
         raise
 
 

@@ -142,7 +142,7 @@ class RngSpec:
     algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
+        if not _is_int(self.seed) or not (0 <= self.seed < 2**64):
             raise ConfigurationError(
                 f"seed must be an unsigned 64-bit int, got {self.seed!r}"
             )

@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from attnlab import (
     set_alloc_hook,
 )
 from attnlab.cache import STREAMS
+from attnlab.weights import ALIGNMENT, tensor_shapes
 
 
 def cfg(mechanism, **kw):
@@ -107,6 +110,112 @@ def test_prefill_is_bitwise_identical_to_appends(mechanism, kw):
             assert np.array_equal(fa, fb), field
 
 
+FIVE = [(Mechanism.MHA, {}), (Mechanism.MQA, {}), (Mechanism.GQA, {"G": 3}),
+        (Mechanism.MLA, {"d_c": 128}), (Mechanism.LRKV, {"r": 64})]
+FIVE_IDS = ["mha", "mqa", "gqa", "mla", "lrkv"]
+
+
+def _unaligned(w, offset=16):
+    """A copy of w with every tensor starting ``offset`` bytes past an
+    ALIGNMENT boundary, where init_weights never puts one."""
+    def shifted(t):
+        raw = np.empty(t.nbytes + ALIGNMENT + offset, dtype=np.uint8)
+        start = -raw.ctypes.data % ALIGNMENT + offset
+        out = raw[start:start + t.nbytes].view(t.dtype).reshape(t.shape)
+        out[...] = t
+        assert out.size == 0 or out.ctypes.data % ALIGNMENT == offset
+        return out
+    return dataclasses.replace(
+        w, **{f: shifted(getattr(w, f)) for f in tensor_shapes(w.config)})
+
+
+@pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "unaligned"])
+@pytest.mark.parametrize("case", ["f64", "f32", "f32-cache-f64-weights"])
+@pytest.mark.parametrize("mechanism,kw", FIVE, ids=FIVE_IDS)
+def test_prefill_equals_appends_at_the_128m_shape(mechanism, kw, case, aligned):
+    """At the 128M layer shape, where prefill's blocked projection and the
+    appends' gemvs run real BLAS kernels, the two fill identical bytes."""
+    config = AttentionConfig(mechanism=mechanism, d=768, H=6, d_h=128, **kw)
+    w = init_weights(config, RngSpec(seed=30))
+    X = np.random.default_rng(31).standard_normal((40, config.d))
+    dtype = np.float64
+    if case != "f64":
+        dtype = np.float32
+    if case == "f32":
+        w, X = w.astype(np.float32), X.astype(np.float32)
+    if not aligned:
+        w = _unaligned(w)
+    a = prefill(w, config, X, capacity=43, dtype=dtype)
+    b = empty_cache(config, capacity=43, dtype=dtype)
+    for row in X:
+        append_token(b, w, config, row)
+    assert a.length == b.length == 40 and a.dtype == b.dtype == dtype
+    for field in STREAMS:
+        fa, fb = getattr(a, field), getattr(b, field)
+        assert (fa is None) == (fb is None), field
+        if fa is not None:
+            assert fa.tobytes() == fb.tobytes(), field
+
+
+@pytest.mark.parametrize("mechanism,kw", [
+    (Mechanism.MHA, {}), (Mechanism.MQA, {}), (Mechanism.GQA, {"G": 2}),
+    (Mechanism.MLA, {"d_c": 10}), (Mechanism.LRKV, {"r": 5}), (Mechanism.LRKV, {"r": 0}),
+], ids=["mha", "mqa", "gqa", "mla", "lrkv", "lrkv-r0"])
+def test_prefill_reports_the_alloc_events_of_its_appends(log, mechanism, kw):
+    config = cfg(mechanism, **kw)
+    w = init_weights(config, RngSpec(seed=22))
+    X = np.random.default_rng(23).standard_normal((7, config.d))
+    log.drain()
+    prefill(w, config, X)
+    blocked = log.drain()
+    cache = empty_cache(config, capacity=7)
+    for row in X:
+        append_token(cache, w, config, row)
+    rowwise = log.drain()
+    assert blocked and Counter(blocked) == Counter(rowwise)
+
+
+@pytest.mark.parametrize("mechanism,kw", [
+    (Mechanism.MHA, {}), (Mechanism.MQA, {}), (Mechanism.GQA, {"G": 2}),
+    (Mechanism.MLA, {"d_c": 3}), (Mechanism.LRKV, {"r": 2}),
+], ids=["mha", "mqa", "gqa", "mla", "lrkv"])
+def test_token_whose_rows_overflow_is_rejected(mechanism, kw):
+    """A finite token whose projected rows overflow writes nothing: the cache
+    keeps its bytes and length, and the next step equals a clean cache's."""
+    config = AttentionConfig(mechanism=mechanism, d=8, H=2, d_h=4, **kw)
+    w = init_weights(config, RngSpec(seed=20))
+    X = np.random.default_rng(21).standard_normal((4, config.d))
+    huge = np.full(config.d, 1e308)
+    hit = prefill(w, config, X[:3], capacity=5)
+    clean = prefill(w, config, X[:3], capacity=5)
+    before = {f: getattr(hit, f).tobytes() for f in STREAMS if getattr(hit, f) is not None}
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy warns, then we raise
+        with pytest.raises(NumericalError):
+            append_token(hit, w, config, huge)
+        with pytest.raises(NumericalError):
+            decode_explicit(hit, w, config, huge)
+        with pytest.raises(NumericalError):
+            prefill(w, config, np.vstack([X[:2], huge]))
+    assert hit.length == 3
+    assert {f: getattr(hit, f).tobytes() for f in before} == before
+    got = decode_explicit(hit, w, config, X[3])
+    want = decode_explicit(clean, w, config, X[3])
+    assert np.array_equal(got.logits, want.logits)
+    assert np.array_equal(got.out, want.out)
+
+    # Rows finite in float64 can still overflow a float32 cache.
+    big = np.full(config.d, 1e39)
+    c32 = prefill(w, config, X[:3], capacity=5, dtype=np.float32)
+    before32 = {f: getattr(c32, f).tobytes() for f in before}
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError):
+            append_token(c32, w, config, big)
+    assert c32.length == 3
+    assert {f: getattr(c32, f).tobytes() for f in before} == before32
+    append_token(clean, w, config, big)  # positive control: fits float64
+    assert clean.length == 5
+
+
 def test_prefill_capacity_and_empty_prompt():
     config = cfg(Mechanism.MQA)
     w = init_weights(config, RngSpec(seed=0))
@@ -176,6 +285,24 @@ def test_failed_step_leaves_cache_usable(mechanism, kw, decode):
     want = decode(clean, w, config, X[4])
     assert np.array_equal(got.logits, want.logits)
     assert np.array_equal(got.out, want.out)
+
+
+@pytest.mark.parametrize("decode", [decode_explicit, decode_factored],
+                         ids=["explicit", "factored"])
+def test_failed_step_restores_the_cache_bytes(decode):
+    """A step whose token is written but whose logits overflow zeroes the
+    row again: the cache is bit for bit what it was, rows past length zero."""
+    config = cfg(Mechanism.LRKV, r=5)
+    w = init_weights(config, RngSpec(seed=24))
+    X = np.random.default_rng(25).standard_normal((4, config.d))
+    cache = prefill(w, config, X[:3], capacity=6)
+    before = {f: getattr(cache, f).tobytes() for f in STREAMS if getattr(cache, f) is not None}
+    loud = dataclasses.replace(w, wq=np.full_like(w.wq, 1e308))  # K/V rows stay finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError):
+            decode(cache, loud, config, X[3])
+    assert cache.length == 3
+    assert {f: getattr(cache, f).tobytes() for f in before} == before
 
 
 NAN_CASES = [(Mechanism.MHA, {}), (Mechanism.LRKV, {"r": 5}), (Mechanism.MLA, {"d_c": 10})]

@@ -57,6 +57,20 @@ def test_console_entry_point_help():
     assert "gen-weights" in out.stdout
 
 
+def test_python_dash_m_runs_the_cli():
+    """``python -m attnlab`` needs only the package on the path, no install."""
+    package_root = str(Path(attnlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "attnlab", "--help"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: attnlab") and "gen-weights" in out.stdout
+    bad = subprocess.run([sys.executable, "-m", "attnlab", "no-such-command"],
+                         capture_output=True, text=True, env=env)
+    assert bad.returncode == 2 and "Traceback" not in bad.stderr
+
+
 @pytest.mark.skipif(shutil.which("attnlab") is None,
                     reason="attnlab console script is not installed")
 def test_installed_console_script_help():

@@ -127,6 +127,13 @@ def test_rng_spec_validation():
         RngSpec(seed=3, algorithm="mt19937")
 
 
+@pytest.mark.parametrize("seed", [True, False])
+def test_rng_spec_rejects_bool_seed(seed):
+    """``True`` is an int to Python; as a seed it would silently mean 1."""
+    with pytest.raises(ConfigurationError, match="seed"):
+        RngSpec(seed=seed)
+
+
 @pytest.mark.parametrize("field,value", [
     ("softmax_scale", "abc"),
     ("softmax_scale", [0.5]),

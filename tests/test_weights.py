@@ -12,7 +12,7 @@ from attnlab import (
     init_weights,
     projection_backward,
 )
-from attnlab.weights import RESIDUAL_INIT_FRACTION
+from attnlab.weights import ALIGNMENT, RESIDUAL_INIT_FRACTION, tensor_shapes
 
 
 def cfg(mechanism, **kw):
@@ -150,3 +150,54 @@ def test_projection_backward_rejects_bad_inputs():
     with pytest.raises(UnsupportedMechanismError):
         projection_backward(init_weights(mha, RngSpec(seed=0)), mha, X,
                             np.zeros((5, c.d_h)), head=0, path="k")
+
+
+ALL_MECHANISMS = [
+    (Mechanism.MHA, {}), (Mechanism.MQA, {}), (Mechanism.GQA, {"G": 2}),
+    (Mechanism.MLA, {"d_c": 12}), (Mechanism.LRKV, {"r": 8}), (Mechanism.LRKV, {"r": 0}),
+]
+ALL_IDS = ["mha", "mqa", "gqa", "mla", "lrkv", "lrkv-r0"]
+
+
+@pytest.mark.parametrize("mechanism,kw", ALL_MECHANISMS, ids=ALL_IDS)
+def test_weight_tensors_are_contiguous_and_aligned(mechanism, kw):
+    """init_weights and astype allocate every tensor C-contiguous and starting
+    on an ALIGNMENT-byte boundary (a tensor with no elements has no data)."""
+    c = cfg(mechanism, **kw)
+    w = init_weights(c, RngSpec(seed=3))
+    for ws in (w, w.astype(np.float32), w.astype(np.float64)):
+        for field in tensor_shapes(c):
+            t = getattr(ws, field)
+            assert t.flags.c_contiguous, field
+            assert t.size == 0 or t.ctypes.data % ALIGNMENT == 0, field
+    assert w.astype(np.float64).wq is not w.wq  # astype still copies
+
+
+def _reference_init(c, seed):
+    """init_weights as ``gen.normal`` draws, one per tensor in draw order."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    shapes = tensor_shapes(c)
+    out = {name: gen.normal(0.0, np.sqrt(2.0 / shape[-2]), size=shape)
+           for name, shape in shapes.items() if name not in ("uk", "bk", "uv", "bv")}
+    if c.mechanism is Mechanism.LRKV:
+        for u_name, b_name, shared in (("uk", "bk", out["wk_shared"]),
+                                       ("uv", "bv", out["wv_shared"])):
+            us, bs = np.zeros(shapes[u_name]), np.zeros(shapes[b_name])
+            for h in range(c.H):
+                u = gen.normal(0.0, np.sqrt(2.0 / c.d), size=us.shape[1:])
+                bs[h] = gen.normal(0.0, np.sqrt(1.0 / c.r), size=bs.shape[1:])
+                res_norm = np.linalg.norm(u @ bs[h].T)
+                us[h] = u * (RESIDUAL_INIT_FRACTION * np.linalg.norm(shared) / res_norm)
+            out[u_name], out[b_name] = us, bs
+    return out
+
+
+@pytest.mark.parametrize("mechanism,kw", [
+    (Mechanism.MHA, {}), (Mechanism.MLA, {"d_c": 12}), (Mechanism.LRKV, {"r": 8}),
+], ids=["mha", "mla", "lrkv"])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_init_weights_bytes_match_gen_normal_draws(mechanism, kw, seed):
+    c = cfg(mechanism, **kw)
+    w = init_weights(c, RngSpec(seed=seed))
+    for field, ref in _reference_init(c, seed).items():
+        assert getattr(w, field).tobytes() == ref.tobytes(), field
