@@ -15,7 +15,8 @@ offending field. The names and shapes must be the config's layout
 (``weights.flat_shapes``): a stacked field such as ``wq`` is stored as its
 matrices ``wq.0`` ... ``wq.{H-1}``. Tensors are stored and loaded as
 little-endian regardless of host byte order, so an archive means the same
-floats everywhere.
+floats everywhere. A read copies each field into one aligned buffer
+(``weights.aligned_empty``), as ``init_weights`` allocates it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .config import AttentionConfig
 from .errors import ArchiveError, ConfigurationError
-from .weights import WeightSet, flat_shapes, tensor_shapes
+from .weights import WeightSet, aligned_empty, flat_shapes, tensor_shapes
 
 FORMAT_VERSION = 1
 
@@ -88,7 +89,7 @@ def read_archive(path) -> WeightSet:
         raise ArchiveError("truncated archive: header shorter than declared")
     try:
         header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or nested too deep
         raise ArchiveError(f"unreadable header: {e}") from e
     if not isinstance(header, dict):
         raise ArchiveError(f"header is a JSON {type(header).__name__}, not an object")
@@ -138,30 +139,39 @@ def read_archive(path) -> WeightSet:
         prev_end = offset + length
         if prev_end > len(blob):
             raise ArchiveError(f"truncated blob: tensor {name} extends past end of file")
-        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
-        tensors[name] = arr.reshape(shape).astype(dtype.newbyteorder("="), copy=False)
+        tensors[name] = np.frombuffer(blob, dtype=dtype, count=count,
+                                      offset=offset).reshape(shape)
 
     stored = header.get("checksum")
     if stored != (zlib.crc32(blob) & 0xFFFFFFFF):
         raise ArchiveError("checksum mismatch: blob corrupted")
 
+    # Counts first: the header is unchecked, its config may claim 10^6 heads.
+    shapes = tensor_shapes(config)
+    count = sum(shape[0] if len(shape) == 3 else 1 for shape in shapes.values())
+    if len(tensors) != count:
+        raise ArchiveError(
+            f"manifest lists {len(tensors)} tensors, the config's layout has {count}")
     expected = flat_shapes(config)
     missing = sorted(set(expected) - set(tensors))
-    if missing:
-        raise ArchiveError(f"missing tensors: {', '.join(missing)}")
-    extra = sorted(set(tensors) - set(expected))
-    if extra:
-        raise ArchiveError(f"unexpected tensors: {', '.join(extra)}")
+    if missing:  # as many names are unexpected: the counts are equal
+        extra = sorted(set(tensors) - set(expected))
+        raise ArchiveError(f"missing tensors ({len(missing)}): {', '.join(missing[:8])}; "
+                           f"unexpected tensors: {', '.join(extra[:8])}")
     for name, shape in expected.items():
         if tensors[name].shape != shape:
             raise ArchiveError(
                 f"tensor {name}: shape {tensors[name].shape}, expected {shape}"
             )
 
-    fields = {}
-    for field, shape in tensor_shapes(config).items():
-        if len(shape) == 3:
-            fields[field] = np.stack([tensors[f"{field}.{i}"] for i in range(shape[0])])
-        else:
-            fields[field] = tensors[field].copy()
-    return WeightSet(config=config, **fields)
+    # One aligned buffer per field, in host byte order, filled by flat name.
+    dtypes: dict[str, list[np.dtype]] = {}
+    for name, arr in tensors.items():
+        dtypes.setdefault(name.partition(".")[0], []).append(arr.dtype)
+    weights = WeightSet(config=config, **{
+        field: aligned_empty(shape, np.result_type(*dtypes[field]).newbyteorder("="))
+        for field, shape in shapes.items()
+    })
+    for name, matrix in weights.named_tensors().items():
+        matrix[...] = tensors[name]
+    return weights

@@ -1,9 +1,10 @@
 """Causal multi-head attention forward pass, mechanism-agnostic.
 
 The forward pass never branches on the mechanism: it asks
-``effective_kv_weights`` for the (d, d_h) K/V projections of each head and
-runs standard scaled-dot-product attention on top. Heads are concatenated
-in head order; there is no output projection and no biases.
+``effective_kv_weights`` for the K/V weight stacks, projects the whole
+sequence for all heads at once and runs standard scaled-dot-product
+attention on top, one row of every head's scores per step. Heads are
+concatenated in head order; there is no output projection and no biases.
 
 ``softmax_row`` is the one softmax in the package. Decode paths reuse it so
 that a probability computed during decode is bit-identical to the same
@@ -49,7 +50,8 @@ def forward_attention(
 
     X is (T, d); the result is (T, d) with head outputs concatenated in head
     order. Position i attends to positions 0..i. With ``config.qk_norm`` the
-    query and key rows are RMS-normalized before the dot product.
+    query and key rows are RMS-normalized before the dot product. Scores are
+    one (T, T) product per head, held for all heads at once: (H, T, T).
     """
     X = np.asarray(X)
     if X.ndim != 2:
@@ -57,19 +59,17 @@ def forward_attention(
     T, d = X.shape
     if d != config.d:
         raise DimensionError(f"X has width {d}, config.d={config.d}")
-    scale = config.softmax_scale
-    out = np.empty((T, config.H * config.d_h), dtype=X.dtype)
-    for h in range(config.H):
-        wk, wv = effective_kv_weights(w, config, h)
-        Q = X @ w.wq[h]
-        K = X @ wk
-        V = X @ wv
-        if config.qk_norm:
-            Q = rmsnorm(Q)
-            K = rmsnorm(K)
-        scores = (Q @ K.T) * scale
-        lo = h * config.d_h
-        for i in range(T):
-            a = softmax_row(scores[i, : i + 1])
-            out[i, lo : lo + config.d_h] = a @ V[: i + 1]
-    return out
+    H, d_h = config.H, config.d_h
+    Q = X @ w.wq  # (H, T, d_h)
+    K, V = (X @ W for W in effective_kv_weights(w, config))  # head h reads gqa_group(h, H, n)
+    n = K.shape[0]
+    if config.qk_norm:
+        Q = rmsnorm(Q)
+        K = rmsnorm(K)
+    scores = (Q.reshape(n, H // n, T, d_h) @ K.transpose(0, 2, 1)[:, None]).reshape(H, T, T)
+    scores *= config.softmax_scale
+    out = np.empty((T, H, d_h), dtype=X.dtype)
+    for i in range(T):
+        A = softmax_row(scores[:, i, : i + 1])
+        out[i] = (A.reshape(n, H // n, 1, i + 1) @ V[:, None, : i + 1]).reshape(H, d_h)
+    return out.reshape(T, H * d_h)

@@ -15,11 +15,14 @@ it; a buffer has that weight's ``tensor_shapes`` shape with the model-width
 
 Two decode paths are provided. ``decode_explicit`` reconstructs each head's
 full K/V over the cached prefix and runs ordinary attention — the reference
-semantics. ``decode_factored`` (low-rank and latent mechanisms only) gets
-identical logits and outputs without ever forming a (T, d_h) per-head
-matrix, by pushing the query and the attention weights through the small
-factors instead. The two paths are algebraically equal; floating point
-leaves differences at the 1e-9 level (float64) for prefixes up to 4096.
+semantics. It expands the cached rows with ``effective_kv_weights``, the
+expansion that also gives the K/V weights: a stream's rows are X times its
+weight, so their expansion is X times the expanded weight. ``decode_factored``
+(low-rank and latent mechanisms only) gets identical logits and outputs
+without ever forming a (T, d_h) per-head matrix, by pushing the query and
+the attention weights through the small factors instead. The two paths are
+algebraically equal; floating point leaves differences at the 1e-9 level
+(float64) for prefixes up to 4096.
 
 Both paths batch the heads: the step's queries are one (H, d_h) block, and
 each cached stream (a K/V group, the shared K/V, Z, the stacked latents) is
@@ -72,7 +75,7 @@ from .errors import (
     UnsupportedMechanismError,
     UnsupportedModeError,
 )
-from .weights import WeightSet, init_weights, residual_rank, tensor_shapes
+from .weights import WeightSet, effective_kv_weights, init_weights, tensor_shapes
 
 _MASK64 = (1 << 64) - 1
 
@@ -86,6 +89,8 @@ STREAMS = {
     "rk": ("uk", "append.rk_row"),
     "rv": ("uv", "append.rv_row"),
 }
+# Stream weight -> the cache field it projects into.
+_FIELDS = {weight: field for field, (weight, _) in STREAMS.items()}
 
 AllocHook = Callable[[str, tuple], None]
 _alloc_hook: AllocHook | None = None
@@ -309,26 +314,6 @@ def _rowwise(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ stack)[:, 0]
 
 
-def _explicit_kv(cache: DecodeCache, w: WeightSet, config: AttentionConfig, t: int):
-    """K and V over the t cached positions, each (n, t, d_h) for n K/V heads.
-
-    n is H where each head has its own K/V (MHA, MLA, LRKV at r > 0), G for
-    GQA and 1 for one shared K/V head (MQA, LRKV at r = 0). Reconstructed
-    heads are fresh arrays; stored streams are views of the cache.
-    """
-    if config.mechanism is Mechanism.MLA:
-        Z = cache.z[:t]
-        return (_note_stack("explicit.k_head", Z @ w.wup_k),
-                _note_stack("explicit.v_head", Z @ w.wup_v))
-    if residual_rank(config) > 0:
-        K = cache.k_shared[:t] + cache.rk[:, :t] @ w.bk.transpose(0, 2, 1)
-        V = cache.v_shared[:t] + cache.rv[:, :t] @ w.bv.transpose(0, 2, 1)
-        return _note_stack("explicit.k_head", K), _note_stack("explicit.v_head", V)
-    if cache.k is None:  # one shared K/V head: MQA, LRKV at r = 0
-        return cache.k_shared[None, :t], cache.v_shared[None, :t]
-    return cache.k[:, :t], cache.v[:, :t]  # per-group streams: MHA (G = H), GQA
-
-
 def decode_explicit(
     cache: DecodeCache, w: WeightSet, config: AttentionConfig, x: np.ndarray
 ) -> DecodeStepOutput:
@@ -345,7 +330,10 @@ def decode_explicit(
     t = cache.length
     try:
         H, d_h = config.H, config.d_h
-        K, V = _explicit_kv(cache, w, config, t)
+        K, V = effective_kv_weights(
+            w, config, lambda weight: getattr(cache, _FIELDS[weight])[..., :t, :])
+        if K.base is None:  # reconstructed, not views of the cache: MLA, LRKV at r > 0
+            K, V = _note_stack("explicit.k_head", K), _note_stack("explicit.v_head", V)
         n = K.shape[0]
         Q = _note_stack("decode.query", x @ w.wq)
         if config.qk_norm:

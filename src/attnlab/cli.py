@@ -88,8 +88,12 @@ def _apply_overrides(config: AttentionConfig, sets: list[str] | None) -> Attenti
 
 
 def _load_config_json(path: str) -> AttentionConfig:
-    with open(path) as f:
-        return AttentionConfig.from_json_dict(json.load(f))
+    with open(path, encoding="utf-8") as f:
+        try:
+            obj = json.load(f)
+        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or nested too deep
+            raise ConfigurationError(f"unreadable config JSON {path}: {e}") from e
+    return AttentionConfig.from_json_dict(obj)
 
 
 def _resolve_config(args) -> AttentionConfig:

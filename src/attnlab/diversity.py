@@ -5,13 +5,15 @@ rotating Wq[h] and W_h^K by the same orthogonal matrix changes neither A_h
 nor anything downstream. All similarity analysis therefore runs on the
 A_h, never on raw projection factors.
 
-The forms are d x d and never need to be materialized to compare them:
+The forms are d x d and never need to be materialized to compare them.
+``BilinearFormSet`` keeps their factors as two (H, d, d_h) stacks, Wq and
+each head's slice of the ``effective_kv_weights`` expansion, and
 
     <A_i, A_j>_F = tr((W_i^K)^T W_j^K (W_j^Q)^T W_i^Q)
 
 turns each inner product into two d_h x d_h products, which is how ``gram``
-always evaluates it (``BilinearFormSet.form`` materializes a single A_h on
-demand for tests and small-d cross-checks).
+evaluates it (``BilinearFormSet.form`` materializes one A_h for tests and
+small-d cross-checks).
 
 Spectral summaries follow the kernel-PCA recipe: cosine-normalize the Gram,
 double-center it, take the eigenvalues (cyclic Jacobi), and report the
@@ -34,7 +36,7 @@ from .errors import (
     UnsupportedMechanismError,
 )
 from .jacobi import jacobi_eigh
-from .weights import WeightSet, effective_kv_weights
+from .weights import WeightSet, effective_kv_weights, gqa_group
 
 # Eigenvalues of a PSD Gram this far below zero are roundoff; further is not.
 EIGENVALUE_CLIP = -1e-10
@@ -43,13 +45,14 @@ CUMULATIVE_TARGET = 0.90
 
 @dataclass(frozen=True)
 class BilinearFormSet:
-    """Per-head bilinear forms, stored as factors (wq[h], effective wk[h])."""
+    """Per-head bilinear forms as factors: (H, d, d_h) stacks of Wq and W^K."""
 
-    wq: tuple[np.ndarray, ...]
-    wk: tuple[np.ndarray, ...]
-    H: int
-    d: int
-    d_h: int
+    wq: np.ndarray
+    wk: np.ndarray
+
+    @property
+    def H(self) -> int:
+        return self.wq.shape[0]
 
     def form(self, h: int) -> np.ndarray:
         """Materialize A_h = Wq[h] (W_h^K)^T as a d x d matrix."""
@@ -89,17 +92,15 @@ class SpectrumReport:
 
 
 def bilinear_forms(w: WeightSet, config: AttentionConfig) -> BilinearFormSet:
-    """Resolve each head's (Wq, effective W^K) factor pair."""
-    wks = []
-    for h in range(config.H):
-        wk, _ = effective_kv_weights(w, config, h)
-        wks.append(wk)
-    for h in range(config.H):
-        if not (np.isfinite(w.wq[h]).all() and np.isfinite(wks[h]).all()):
-            raise NumericalError(f"non-finite projection factors at head {h}")
-    return BilinearFormSet(
-        wq=tuple(w.wq), wk=tuple(wks), H=config.H, d=config.d, d_h=config.d_h
-    )
+    """Stack each head's (Wq, effective W^K) factor pair."""
+    wk, _ = effective_kv_weights(w, config)
+    if len(wk) != config.H:  # shared or grouped K/V: one slice per head
+        wk = wk[gqa_group(np.arange(config.H), config.H, len(wk))]
+    finite = np.isfinite(w.wq).all(axis=(1, 2)) & np.isfinite(wk).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(
+            f"non-finite projection factors at head {int(np.argmin(finite))}")
+    return BilinearFormSet(wq=w.wq, wk=wk)
 
 
 def _form_inner(forms: BilinearFormSet, i: int, j: int) -> float:
@@ -125,15 +126,20 @@ def gram(forms: BilinearFormSet, normalize: bool) -> GramMatrix:
             G[j, i] = G[i, j]
     if not normalize:
         return GramMatrix(G=G, normalized=False, centered=False)
-    sq = np.clip(np.diag(G), 0.0, None)
-    norms = np.sqrt(sq)
-    for h in range(H):
-        if norms[h] == 0.0:
-            raise DegenerateHeadError(
-                f"head {h} has a zero-norm bilinear form; cosine similarity undefined"
-            )
-    G = G / np.outer(norms, norms)
+    G, degenerate = _cosine(G)
+    if degenerate:
+        raise DegenerateHeadError(f"head {degenerate[0]} has a zero-norm bilinear form; "
+                                  "cosine similarity undefined")
     return GramMatrix(G=G, normalized=True, centered=False)
+
+
+def _cosine(G: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Cosine-normalize a raw Gram; also return its zero-norm heads, whose
+    unit denominators leave their rows/columns at the raw (zero) products."""
+    norms = np.sqrt(np.clip(np.diag(G), 0.0, None))
+    zero = norms == 0.0
+    safe = np.where(zero, 1.0, norms)
+    return G / np.outer(safe, safe), tuple(int(h) for h in np.flatnonzero(zero))
 
 
 def center_gram(g: GramMatrix) -> GramMatrix:
@@ -191,21 +197,6 @@ def spectrum(g: GramMatrix) -> SpectrumReport:
     )
 
 
-def _normalized_gram_tolerant(forms: BilinearFormSet) -> tuple[GramMatrix, tuple[int, ...]]:
-    """Normalized Gram that flags zero-norm heads instead of raising.
-
-    Degenerate heads get unit denominators, leaving their rows/columns at
-    the raw (zero) inner products.
-    """
-    raw = gram(forms, normalize=False)
-    sq = np.clip(np.diag(raw.G), 0.0, None)
-    norms = np.sqrt(sq)
-    degenerate = tuple(int(h) for h in np.flatnonzero(norms == 0.0))
-    safe = np.where(norms == 0.0, 1.0, norms)
-    G = raw.G / np.outer(safe, safe)
-    return GramMatrix(G=G, normalized=True, centered=False), degenerate
-
-
 def diversity_report(w: WeightSet, config: AttentionConfig) -> dict:
     """Full similarity/spectrum summary for one layer's heads.
 
@@ -213,8 +204,8 @@ def diversity_report(w: WeightSet, config: AttentionConfig) -> dict:
     and centered SpectrumReports, and any degenerate (zero-form) heads.
     Degenerate heads are reported, not raised.
     """
-    forms = bilinear_forms(w, config)
-    sim, degenerate_heads = _normalized_gram_tolerant(forms)
+    G, degenerate_heads = _cosine(gram(bilinear_forms(w, config), normalize=False).G)
+    sim = GramMatrix(G=G, normalized=True, centered=False)
     uncentered = spectrum(sim)
     centered = spectrum(center_gram(sim))
     return {
@@ -244,21 +235,22 @@ class MagnitudeReport:
     cosine_v: np.ndarray
 
 
-def _magnitude_path(shared, us, bs, H):
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of an (H, m, n) stack, as float64, computed
+    as ``np.linalg.norm`` does: the root of one dot over the flat matrix."""
+    flat = stack.reshape(len(stack), -1)
+    return np.sqrt(np.vecdot(flat, flat)).astype(np.float64)
+
+
+def _magnitude_path(shared, us, bs):
     shared_norm = float(np.linalg.norm(shared))
-    residual = np.empty(H)
-    total = np.empty(H)
-    cosine = np.empty(H)
-    for h in range(H):
-        R = us[h] @ bs[h].T
-        residual[h] = np.linalg.norm(R)
-        total[h] = np.linalg.norm(shared + R)
-        denom = shared_norm * residual[h]
-        if denom == 0.0:
-            cosine[h] = 0.0
-        else:
-            cosine[h] = float(np.clip(np.sum(shared * R) / denom, -1.0, 1.0))
-    return shared_norm, residual, total, cosine
+    R = us @ bs.transpose(0, 2, 1)
+    residual = _frobenius(R)
+    total = _frobenius(shared + R)
+    denom = shared_norm * residual
+    cosine = np.divide(np.sum(shared * R, axis=(1, 2)), denom,
+                       out=np.zeros(len(R)), where=denom != 0.0)
+    return shared_norm, residual, total, np.clip(cosine, -1.0, 1.0)
 
 
 def magnitude_report(w: WeightSet, config: AttentionConfig) -> MagnitudeReport:
@@ -267,8 +259,8 @@ def magnitude_report(w: WeightSet, config: AttentionConfig) -> MagnitudeReport:
         raise UnsupportedMechanismError(
             f"magnitude_report is defined for lrkv only, got {config.mechanism.value}"
         )
-    sk, rk, tk, ck = _magnitude_path(w.wk_shared, w.uk, w.bk, config.H)
-    sv, rv, tv, cv = _magnitude_path(w.wv_shared, w.uv, w.bv, config.H)
+    sk, rk, tk, ck = _magnitude_path(w.wk_shared, w.uk, w.bk)
+    sv, rv, tv, cv = _magnitude_path(w.wv_shared, w.uv, w.bv)
     return MagnitudeReport(
         shared_k=sk, residual_k=rk, total_k=tk, cosine_k=ck,
         shared_v=sv, residual_v=rv, total_v=tv, cosine_v=cv,
@@ -331,14 +323,12 @@ def factorization_gap(
     if r is None:
         r = config.r
     rows: list[dict] = []
-    paths = (
-        ("k", reference.wk, w.wk_shared, w.uk, w.bk),
-        ("v", reference.wv, w.wv_shared, w.uv, w.bv),
-    )
-    for path, refs, shared, us, bs in paths:
+    paths = zip("kv", (reference.wk, reference.wv), (w.wk_shared, w.wv_shared),
+                effective_kv_weights(w, config))
+    for path, refs, shared, learned_stack in paths:
         for h in range(config.H):
             target = refs[h]
-            learned = shared + us[h] @ bs[h].T
+            learned = learned_stack[gqa_group(h, config.H, len(learned_stack))]
             e_learned = float(np.linalg.norm(target - learned))
             D = target - shared
             _, _, e_opt = svd_truncate(D, r)

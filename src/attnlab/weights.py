@@ -16,6 +16,8 @@ K/V head (``residual_rank``), so at r = 0 it is MQA.
 
 The LRKV residual keeps the projection shape (d, d_h): Uk[h] is (d, r) and
 Bk[h] is (d_h, r), so Uk[h] @ Bk[h].T is a (d, d_h) update of rank <= r.
+``effective_kv_weights`` expands every head's K/V, from the weights or from
+a decode cache's rows.
 
 ``tensor_shapes`` is the one layout table: each populated WeightSet field and
 its shape, in draw order, which is also archive order. Per-head and per-group
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -224,26 +227,29 @@ def init_weights(config: AttentionConfig, rng: RngSpec) -> WeightSet:
 
 
 def effective_kv_weights(
-    w: WeightSet, config: AttentionConfig, head: int
+    w: WeightSet, config: AttentionConfig, rows: Callable[[str], np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve (W_h^K, W_h^V), both (d, d_h), for any mechanism.
+    """K and V of every head as (n, rows, d_h) stacks: the one K/V expansion.
 
-    Grouped K/V (and LRKV with r = 0) return the stored arrays as-is — no
-    arithmetic, no copy: a view of the head's group slice, or the shared
-    arrays themselves, so complete sharing is bitwise identical to MQA.
+    Head h reads slice ``gqa_group(h, H, n)``; n is H where each head has
+    its own K/V (MHA, MLA, LRKV at r > 0), G for GQA and 1 for one shared
+    K/V head (MQA, LRKV at r = 0). Without ``rows`` it expands the weights
+    (rows = d). ``rows(name)`` instead gives the cached rows of the stream
+    that weight ``name`` projects into (``cache.STREAMS``: ``wk``, ``wdown``,
+    ``uk``, ...); only the streams the taken branch reads are asked for.
+    Stored streams come back as views, so complete sharing is bitwise
+    identical to MQA; reconstructed heads (MLA, LRKV at r > 0) are fresh.
     """
-    if not (0 <= head < config.H):
-        raise IndexError(f"head {head} out of range for H={config.H}")
+    rows = rows or (lambda name: getattr(w, name))
     if config.mechanism is Mechanism.MLA:
-        return w.wdown @ w.wup_k[head], w.wdown @ w.wup_v[head]
-    if residual_rank(config) > 0:
-        wk = w.wk_shared + w.uk[head] @ w.bk[head].T
-        wv = w.wv_shared + w.uv[head] @ w.bv[head].T
-        return wk, wv
-    if w.wk is None:  # one shared K/V head
-        return w.wk_shared, w.wv_shared
-    g = gqa_group(head, config.H, kv_heads(config))
-    return w.wk[g], w.wv[g]
+        Z = rows("wdown")
+        return Z @ w.wup_k, Z @ w.wup_v
+    if residual_rank(config) > 0:  # the base is added in place: one stack allocated
+        K, V = rows("uk") @ w.bk.transpose(0, 2, 1), rows("uv") @ w.bv.transpose(0, 2, 1)
+        return np.add(K, rows("wk_shared"), out=K), np.add(V, rows("wv_shared"), out=V)
+    if w.wk is None:  # one shared K/V head: MQA, LRKV at r = 0
+        return rows("wk_shared")[None], rows("wv_shared")[None]
+    return rows("wk"), rows("wv")  # per-group K/V: MHA (G = H), GQA
 
 
 def projection_backward(

@@ -292,9 +292,8 @@ def test_criterion_08_head_diversity_suite():
     for _ in range(20):
         Rs = [_random_orthogonal(gen, config.d_h) for _ in range(config.H)]
         rotated = BilinearFormSet(
-            wq=tuple(q @ R for q, R in zip(forms.wq, Rs)),
-            wk=tuple(k @ R for k, R in zip(forms.wk, Rs)),
-            H=forms.H, d=forms.d, d_h=forms.d_h,
+            wq=np.stack([q @ R for q, R in zip(forms.wq, Rs)]),
+            wk=np.stack([k @ R for k, R in zip(forms.wk, Rs)]),
         )
         rsim = gram(rotated, normalize=True)
         assert np.abs(rsim.G - sim.G).max() <= TOL_GAUGE

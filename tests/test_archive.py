@@ -15,6 +15,7 @@ from attnlab import (
     read_archive,
     write_archive,
 )
+from attnlab.weights import ALIGNMENT, tensor_shapes
 
 
 def cfg(mechanism, **kw):
@@ -270,10 +271,13 @@ def test_archive_layout_and_draw_order_are_pinned(config, layout, tmp_path):
 
 
 def replace_header(path, transform):
-    """Rewrite an archive's header as ``transform(header)``, blob unchanged."""
+    """Rewrite an archive's header as ``transform(header)``, blob unchanged;
+    a transform that returns bytes gives the raw header itself."""
     data = path.read_bytes()
     (n,) = struct.unpack("<Q", data[:8])
-    raw = json.dumps(transform(json.loads(data[8 : 8 + n]))).encode()
+    raw = transform(json.loads(data[8 : 8 + n]))
+    if not isinstance(raw, bytes):
+        raw = json.dumps(raw).encode()
     path.write_bytes(struct.pack("<Q", len(raw)) + raw + data[8 + n :])
 
 
@@ -298,6 +302,10 @@ BAD_HEADERS = {
     "config-list": (lambda h: {**h, "config": ["mechanism"]}, "config"),
     "softmax-scale-str": (_config_field(softmax_scale="x"), "softmax_scale"),
     "qk-norm-str": (_config_field(qk_norm="yes"), "qk_norm"),
+    # a config that claims a million heads for a four-tensor manifest
+    "million-heads": (_config_field(d=4_000_000, H=1_000_000, d_h=4),
+                      "4 tensors, the config's layout has 1000002"),
+    "nested-too-deep": (lambda h: b"[" * 100_000, "header"),
 }
 
 
@@ -308,8 +316,65 @@ def test_malformed_header_raises_archive_error(mutation, tmp_path):
     # wq.0 is (8, 4): 32 elements, so shape [-1, -32] passes the length check
     write_archive(init_weights(cfg(Mechanism.MQA, d=8, H=2, d_h=4), RngSpec(seed=12)), p)
     replace_header(p, transform)
-    with pytest.raises(ArchiveError, match=field):
+    with pytest.raises(ArchiveError, match=field) as info:
         read_archive(p)
+    assert len(str(info.value)) < 1000
+
+
+def test_missing_and_unexpected_names_are_capped(tmp_path):
+    p = tmp_path / "w.bin"
+    write_archive(init_weights(cfg(Mechanism.MHA, d=24, H=12, d_h=2), RngSpec(seed=14)), p)
+
+    def rename_all(header):
+        for i, entry in enumerate(header["tensors"]):
+            entry["name"] = f"x{i}"
+
+    rewrite_header(p, rename_all)
+    with pytest.raises(ArchiveError, match=r"missing tensors \(36\)") as info:
+        read_archive(p)
+    assert str(info.value).count(",") == 2 * 7  # eight names of each kind
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("config", ALL, ids=lambda c: f"{c.mechanism.value}-r{c.r}")
+def test_read_fields_are_aligned_and_equal_to_init(config, dtype, tmp_path):
+    w = init_weights(config, RngSpec(seed=22)).astype(dtype)
+    p = tmp_path / "w.bin"
+    write_archive(w, p)
+    again = read_archive(p)
+    for field in tensor_shapes(config):
+        t = getattr(again, field)
+        assert t.flags.c_contiguous and t.flags.writeable, field
+        assert t.size == 0 or t.ctypes.data % ALIGNMENT == 0, field
+        assert t.dtype == dtype and t.tobytes() == getattr(w, field).tobytes(), field
+
+
+@pytest.fixture(scope="module")
+def small_archive(tmp_path_factory):
+    p = tmp_path_factory.mktemp("small") / "w.bin"
+    write_archive(init_weights(cfg(Mechanism.LRKV, d=8, H=2, d_h=4, r=1),
+                               RngSpec(seed=15)), p)
+    return p.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_flipped_or_truncated_bytes_raise_only_archive_error(
+        data, small_archive, tmp_path_factory):
+    """A single-byte flip or a truncation anywhere reads back or raises
+    ArchiveError; nothing else escapes."""
+    raw = bytearray(small_archive)
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        i = data.draw(st.integers(0, len(raw) - 1), label="index")
+        raw[i] ^= data.draw(st.integers(1, 255), label="mask")
+    p = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    p.write_bytes(bytes(raw))
+    try:
+        read_archive(p)
+    except ArchiveError:
+        pass
 
 
 def test_cli_reports_malformed_archive_with_exit_1(tmp_path, capsys):

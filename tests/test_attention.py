@@ -147,3 +147,31 @@ def test_forward_agrees_with_incremental_decode(config):
     for i in range(T):
         step = decode_explicit(cache, w, config, X[i])
         assert np.allclose(step.concat_out(), Y[i], atol=1e-6), f"row {i}"
+
+
+def _forward_per_head(w, config, X, per_head_kv):
+    """Reference forward pass: one head at a time, one softmax row at a time."""
+    T = X.shape[0]
+    out = np.empty((T, config.H * config.d_h), dtype=X.dtype)
+    for h in range(config.H):
+        wk, wv = per_head_kv(w, config, h)
+        Q, K, V = X @ w.wq[h], X @ wk, X @ wv
+        if config.qk_norm:
+            Q, K = rmsnorm(Q), rmsnorm(K)
+        scores = (Q @ K.T) * config.softmax_scale
+        for i in range(T):
+            out[i, h * config.d_h:(h + 1) * config.d_h] = \
+                softmax_row(scores[i, : i + 1]) @ V[: i + 1]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("config", ALL_CONFIGS + DECODE_CONFIGS,
+                         ids=lambda c: f"{c.mechanism.value}-H{c.H}-r{c.r}-qk{int(c.qk_norm)}")
+def test_forward_attention_equals_the_per_head_loop(config, dtype, per_head_kv):
+    """The head-batched forward pass does each head's arithmetic unchanged."""
+    w = init_weights(config, RngSpec(seed=13)).astype(dtype)
+    X = np.random.default_rng(14).standard_normal((11, config.d)).astype(dtype)
+    Y = forward_attention(w, config, X)
+    assert Y.dtype == dtype
+    assert Y.tobytes() == _forward_per_head(w, config, X, per_head_kv).tobytes()

@@ -282,3 +282,20 @@ def test_bad_override_and_rank_values_are_usage_errors(capsys):
 def test_bool_override_of_an_integer_field_is_a_usage_error(capsys, field):
     assert run_cli(["memory", "--preset", "128M", "--set", f"{field}=true"]) == 2
     assert field in capsys.readouterr().err
+
+
+UNREADABLE_CONFIGS = {
+    "truncated-json": b'{"mechanism": "lrkv", "d": 64, "H"',
+    "not-utf8": b"\xff\xfe{}",
+    "nested-too-deep": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["memory", "gradcheck"])
+@pytest.mark.parametrize("content", UNREADABLE_CONFIGS, ids=str)
+def test_unreadable_config_json_is_a_usage_error(tmp_path, capsys, command, content):
+    p = tmp_path / "bad.json"
+    p.write_bytes(UNREADABLE_CONFIGS[content])
+    assert run_cli([command, "--config-json", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable config JSON") and "Traceback" not in err

@@ -32,9 +32,9 @@ def cfg(mechanism=Mechanism.LRKV, *, d=96, H=4, d_h=24, **kw):
 
 def random_forms(seed, H=4, d=64, d_h=16):
     gen = np.random.default_rng(seed)
-    wq = tuple(gen.standard_normal((d, d_h)) for _ in range(H))
-    wk = tuple(gen.standard_normal((d, d_h)) for _ in range(H))
-    return BilinearFormSet(wq=wq, wk=wk, H=H, d=d, d_h=d_h)
+    wq = np.stack([gen.standard_normal((d, d_h)) for _ in range(H)])
+    wk = np.stack([gen.standard_normal((d, d_h)) for _ in range(H)])
+    return BilinearFormSet(wq=wq, wk=wk)
 
 
 def random_orthogonal(gen, n):
@@ -75,11 +75,10 @@ def test_gauge_invariance_of_the_full_report():
     base_unc = spectrum(base_sim)
     base_cen = spectrum(center_gram(base_sim))
     for _ in range(20):
-        Rs = [random_orthogonal(gen, forms.d_h) for _ in range(forms.H)]
+        Rs = [random_orthogonal(gen, forms.wq.shape[2]) for _ in range(forms.H)]
         rotated = BilinearFormSet(
-            wq=tuple(forms.wq[h] @ Rs[h] for h in range(forms.H)),
-            wk=tuple(forms.wk[h] @ Rs[h] for h in range(forms.H)),
-            H=forms.H, d=forms.d, d_h=forms.d_h,
+            wq=np.stack([forms.wq[h] @ Rs[h] for h in range(forms.H)]),
+            wk=np.stack([forms.wk[h] @ Rs[h] for h in range(forms.H)]),
         )
         sim = gram(rotated, normalize=True)
         assert np.abs(sim.G - base_sim.G).max() < 1e-9
@@ -91,8 +90,8 @@ def test_gauge_invariance_of_the_full_report():
 
 def test_gram_names_degenerate_head():
     forms = random_forms(4)
-    dead = dataclasses.replace(forms, wq=(forms.wq[0], np.zeros_like(forms.wq[1]),
-                                          forms.wq[2], forms.wq[3]))
+    dead = dataclasses.replace(forms, wq=np.stack([forms.wq[0], np.zeros_like(forms.wq[1]),
+                                                   forms.wq[2], forms.wq[3]]))
     with pytest.raises(DegenerateHeadError, match="head 1"):
         gram(dead, normalize=True)
     # unnormalized Gram tolerates the zero form
@@ -127,8 +126,8 @@ def test_centering_is_idempotent_and_zero_sum():
 def test_centering_kills_a_common_component():
     # identical heads: everything is mean, nothing is variance
     base = random_forms(6, H=1)
-    forms = BilinearFormSet(wq=base.wq * 4, wk=base.wk * 4, H=4,
-                            d=base.d, d_h=base.d_h)
+    forms = BilinearFormSet(wq=np.repeat(base.wq, 4, axis=0),
+                            wk=np.repeat(base.wk, 4, axis=0))
     sim = gram(forms, normalize=True)
     assert np.allclose(sim.G, 1.0, atol=1e-12)
     centered = spectrum(center_gram(sim))
@@ -344,3 +343,39 @@ def test_factorization_gap_validates_reference():
         mha = cfg(Mechanism.MHA, d=64, H=4, d_h=16)
         factorization_gap(init_weights(mha, RngSpec(seed=0)), mha,
                           init_weights(mha, RngSpec(seed=1)))
+
+
+# ------------------------------------------------- stacks vs per-head loops
+
+
+@pytest.mark.parametrize("mechanism,kw", [
+    (Mechanism.MHA, {}), (Mechanism.MQA, {}), (Mechanism.GQA, {"G": 2}),
+    (Mechanism.MLA, {"d_c": 12}), (Mechanism.LRKV, {"r": 6}), (Mechanism.LRKV, {"r": 0}),
+], ids=["mha", "mqa", "gqa-G2", "mla", "lrkv", "lrkv-r0"])
+def test_bilinear_forms_stack_each_heads_factors(mechanism, kw, per_head_kv):
+    config = cfg(mechanism, **kw)
+    w = init_weights(config, RngSpec(seed=3))
+    forms = bilinear_forms(w, config)
+    assert forms.H == config.H and forms.wq.tobytes() == w.wq.tobytes()
+    assert forms.wk.shape == (config.H, config.d, config.d_h)
+    for h in range(config.H):
+        assert forms.wk[h].tobytes() == per_head_kv(w, config, h)[0].tobytes(), h
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("r", [6, 0])
+def test_magnitude_report_equals_the_per_head_loop(r, dtype):
+    config = cfg(r=r)
+    w = init_weights(config, RngSpec(seed=4)).astype(dtype)
+    rep = magnitude_report(w, config)
+    for p, shared, us, bs in (("k", w.wk_shared, w.uk, w.bk), ("v", w.wv_shared, w.uv, w.bv)):
+        s = float(np.linalg.norm(shared))
+        assert getattr(rep, f"shared_{p}") == s
+        for h in range(config.H):
+            R = us[h] @ bs[h].T
+            res = float(np.linalg.norm(R))
+            denom = np.float64(s * res)  # a float64 array element, not a weak Python float
+            cos = 0.0 if denom == 0.0 else float(np.clip(np.sum(shared * R) / denom, -1, 1))
+            assert getattr(rep, f"residual_{p}")[h] == res, (p, h)
+            assert getattr(rep, f"total_{p}")[h] == np.linalg.norm(shared + R), (p, h)
+            assert getattr(rep, f"cosine_{p}")[h] == cos, (p, h)

@@ -10,9 +10,17 @@ from attnlab import (
     effective_kv_weights,
     gqa_group,
     init_weights,
+    prefill,
     projection_backward,
 )
-from attnlab.weights import ALIGNMENT, RESIDUAL_INIT_FRACTION, tensor_shapes
+from attnlab.cache import STREAMS
+from attnlab.weights import (
+    ALIGNMENT,
+    RESIDUAL_INIT_FRACTION,
+    kv_heads,
+    residual_rank,
+    tensor_shapes,
+)
 
 
 def cfg(mechanism, **kw):
@@ -70,16 +78,9 @@ def test_lrkv_rank_zero_factors_are_empty():
     c = cfg(Mechanism.LRKV, r=0)
     w = init_weights(c, RngSpec(seed=0))
     assert w.uk[0].shape == (c.d, 0) and w.bk[0].shape == (c.d_h, 0)
-    K, V = effective_kv_weights(w, c, 2)
+    K, V = effective_kv_weights(w, c)
     # complete sharing: the shared arrays themselves, no residual add
-    assert K is w.wk_shared and V is w.wv_shared
-
-
-def test_effective_weights_lrkv_adds_residual():
-    c = cfg(Mechanism.LRKV, r=8)
-    w = init_weights(c, RngSpec(seed=1))
-    K, _ = effective_kv_weights(w, c, 3)
-    assert np.allclose(K, w.wk_shared + w.uk[3] @ w.bk[3].T)
+    assert _same_view(K[0], w.wk_shared) and _same_view(V[0], w.wv_shared)
 
 
 def _same_view(a, b):
@@ -88,28 +89,71 @@ def _same_view(a, b):
             and a.shape == b.shape and a.strides == b.strides)
 
 
-def test_effective_weights_gqa_routing():
-    c = cfg(Mechanism.GQA, G=2)
-    w = init_weights(c, RngSpec(seed=2))
+EXPANSION_CASES = [
+    (Mechanism.MHA, {}), (Mechanism.MQA, {}), (Mechanism.GQA, {"G": 1}),
+    (Mechanism.GQA, {"G": 2}), (Mechanism.GQA, {"G": 4}), (Mechanism.MLA, {"d_c": 12}),
+    (Mechanism.LRKV, {"r": 8}), (Mechanism.LRKV, {"r": 0}),
+]
+EXPANSION_IDS = ["mha", "mqa", "gqa-G1", "gqa-G2", "gqa-GH", "mla", "lrkv", "lrkv-r0"]
+EXPANSION_DTYPES = pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                                           ids=["f64", "f32"])
+
+
+def _is_stored(c):
+    """True when every head's K/V is a stored weight (no reconstruction)."""
+    return c.mechanism is not Mechanism.MLA and residual_rank(c) == 0
+
+
+@EXPANSION_DTYPES
+@pytest.mark.parametrize("mechanism,kw", EXPANSION_CASES, ids=EXPANSION_IDS)
+def test_kv_expansion_of_weights_matches_per_head_formulas(mechanism, kw, dtype, per_head_kv):
+    """Slice gqa_group(h) of the expanded stacks is head h's K/V weight bit
+    for bit; stored weights come back as views of the stored arrays."""
+    c = cfg(mechanism, **kw)
+    w = init_weights(c, RngSpec(seed=1)).astype(dtype)
+    K, V = effective_kv_weights(w, c)
+    n = kv_heads(c) if _is_stored(c) else c.H
+    assert K.shape == V.shape == (n, c.d, c.d_h)
+    assert K.dtype == V.dtype == dtype
     for h in range(c.H):
-        K, V = effective_kv_weights(w, c, h)
-        g = gqa_group(h, c.H, c.G)
-        # Indexing a stack makes a fresh view each time, so identity cannot
-        # hold; K and V must still be exactly slice g, not a copy.
-        assert _same_view(K, w.wk[g]) and _same_view(V, w.wv[g])
+        g = gqa_group(h, c.H, n)
+        ref_k, ref_v = per_head_kv(w, c, h)
+        assert K[g].tobytes() == ref_k.tobytes(), h
+        assert V[g].tobytes() == ref_v.tobytes(), h
+        if _is_stored(c):
+            assert _same_view(K[g], ref_k) and _same_view(V[g], ref_v), h
+    if not _is_stored(c):  # reconstructed heads are fresh arrays
+        for t in w.named_tensors().values():
+            assert not np.shares_memory(K, t) and not np.shares_memory(V, t)
+
+
+@EXPANSION_DTYPES
+@pytest.mark.parametrize("mechanism,kw", EXPANSION_CASES, ids=EXPANSION_IDS)
+def test_kv_expansion_of_cached_rows_matches_expanded_weights(mechanism, kw, dtype):
+    """Expanding a prefilled cache's rows gives X @ the expanded weights;
+    stored streams come back as views of the cache."""
+    c = cfg(mechanism, **kw)
+    w = init_weights(c, RngSpec(seed=2)).astype(dtype)
+    X = np.random.default_rng(7).standard_normal((9, c.d)).astype(dtype)
+    cache = prefill(w, c, X, capacity=12)
+    fields = {weight: field for field, (weight, _) in STREAMS.items()}
+    K, V = effective_kv_weights(
+        w, c, lambda weight: getattr(cache, fields[weight])[..., :cache.length, :])
+    Kw, Vw = effective_kv_weights(w, c)
+    tol = 1e-12 if dtype is np.float64 else 1e-5
+    for got, weights in ((K, Kw), (V, Vw)):
+        ref = X @ weights
+        assert got.shape == ref.shape and got.dtype == dtype
+        assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+    # stored: K views the K stream and V the V stream; reconstructed: no views
+    views = [np.shares_memory(a, b) for a in (K, V) for b in cache._buffers()]
+    assert views.count(True) == (2 if _is_stored(c) else 0)
 
 
 def test_gqa_group_mapping():
     assert [gqa_group(h, 8, 2) for h in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
     assert [gqa_group(h, 6, 3) for h in range(6)] == [0, 0, 1, 1, 2, 2]
     assert [gqa_group(h, 4, 4) for h in range(4)] == [0, 1, 2, 3]
-
-
-def test_effective_weights_head_out_of_range():
-    c = cfg(Mechanism.MHA)
-    w = init_weights(c, RngSpec(seed=0))
-    with pytest.raises(IndexError):
-        effective_kv_weights(w, c, c.H)
 
 
 def test_astype_round_trip():
