@@ -48,13 +48,15 @@ by construction. A GEMM (``X @ W``) would be faster still, but it accumulates
 in another order and does not match.
 
 A process-wide allocation hook (``set_alloc_hook``) observes every transient
-array the decode paths create, tagged by role. A stacked (n, ...) transient
-is reported as n events of its per-head (or per-group) slice shape, so the
-events are those of a head-by-head computation. Tests use it to verify the
-factored path's working set stays O(r + d_h) per head regardless of prefix
-length; ``equivalence_report`` uses it to count elements touched per step.
-Because it reports slices, the hook cannot show how large an allocation
-really was; a tracemalloc test measures that.
+array the decode paths create, tagged by role: one event per array, with
+the array's real shape. A step's scores are one (H, t) event, the explicit
+path's reconstructed keys one (H, t, d_h) event, and the rows a prefill or
+append writes one (..., T, cols) event per stream. Tests use it to verify
+that the factored path builds only (H, k) transients with k in {t, r, d_h}
+(d_c for the latent mechanism), never a (t, d_h) matrix per head;
+``equivalence_report`` sums the elements of the events to count elements
+touched per step. The hook sees the arrays the code names, not numpy's
+temporaries; a tracemalloc test measures the real peak.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from .weights import WeightSet, effective_kv_weights, init_weights, tensor_shape
 
 _MASK64 = (1 << 64) - 1
 
-# Cache field -> (weight that projects a token into it, alloc-hook tag of a row).
+# Cache field -> (weight that projects a token into it, alloc-hook tag of its rows).
 STREAMS = {
     "k": ("wk", "append.k_row"),
     "v": ("wv", "append.v_row"),
@@ -108,27 +110,11 @@ def set_alloc_hook(fn: AllocHook | None) -> AllocHook | None:
     return prev
 
 
-def _note_rows(tag: str, rows: np.ndarray) -> np.ndarray:
-    """Report (..., T, cols) projected rows as one (cols,) event per row, as
-    T appends of one token each would."""
+def _note(tag: str, a: np.ndarray) -> np.ndarray:
+    """Report transient ``a`` to the hook, once, with its real shape."""
     if _alloc_hook is not None:
-        shape = rows.shape[-1:]
-        for _ in range(math.prod(rows.shape[:-1])):
-            _alloc_hook(tag, shape)
-    return rows
-
-
-def _note_stack(tag: str, stack: np.ndarray) -> np.ndarray:
-    """Report a stacked transient as one event per head or group slice.
-
-    ``stack`` holds one slice per head (or K/V group) along axis 0; the hook
-    sees n events of the slice shape, as if each were computed on its own.
-    """
-    if _alloc_hook is not None:
-        shape = stack.shape[1:]
-        for _ in range(stack.shape[0]):
-            _alloc_hook(tag, shape)
-    return stack
+        _alloc_hook(tag, a.shape)
+    return a
 
 
 @dataclass
@@ -232,7 +218,9 @@ def _append_rows(
             if buf is not None:
                 rows = buf[..., t:t + T, None, :]
                 np.matmul(X, getattr(w, weight)[..., None, :, :], out=rows)
-                screen += np.add.reduce(_note_rows(tag, rows), None)
+                if _alloc_hook is not None:  # no view on the unhooked hot path
+                    _note(tag, buf[..., t:t + T, :])
+                screen += np.add.reduce(rows, None)
         if not math.isfinite(screen) and not all(
             np.isfinite(buf[..., t:t + T, :]).all() for buf in cache._buffers()
         ):
@@ -333,16 +321,16 @@ def decode_explicit(
         K, V = effective_kv_weights(
             w, config, lambda weight: getattr(cache, _FIELDS[weight])[..., :t, :])
         if K.base is None:  # reconstructed, not views of the cache: MLA, LRKV at r > 0
-            K, V = _note_stack("explicit.k_head", K), _note_stack("explicit.v_head", V)
+            K, V = _note("explicit.k_head", K), _note("explicit.v_head", V)
         n = K.shape[0]
-        Q = _note_stack("decode.query", x @ w.wq)
+        Q = _note("decode.query", x @ w.wq)
         if config.qk_norm:
-            Q = _note_stack("explicit.q_norm", rmsnorm(Q))
-            K = _note_stack("explicit.k_norm", rmsnorm(K))
+            Q = _note("explicit.q_norm", rmsnorm(Q))
+            K = _note("explicit.k_norm", rmsnorm(K))
         scores = (Q.reshape(n, H // n, d_h) @ K.transpose(0, 2, 1)).reshape(H, t)
-        logits = _note_stack("decode.scores", _scaled(scores, config, cache))
-        A = _note_stack("decode.weights", softmax_row(logits))
-        out = _note_stack("decode.out", (A.reshape(n, H // n, t) @ V).reshape(H, d_h))
+        logits = _note("decode.scores", _scaled(scores, config, cache))
+        A = _note("decode.weights", softmax_row(logits))
+        out = _note("decode.out", (A.reshape(n, H // n, t) @ V).reshape(H, d_h))
         return _finalize(logits, out)
     except BaseException:
         _truncate(cache, t - 1)  # a failed step takes its row back (see module docstring)
@@ -381,55 +369,38 @@ def decode_factored(
     append_token(cache, w, config, x)
     t = cache.length
     try:
-        Q = _note_stack("decode.query", x @ w.wq)
+        Q = _note("decode.query", x @ w.wq)
 
         if m is Mechanism.MLA:
             Z = cache.z[:t]
-            q_lat = _note_stack("factored.latent_query",
-                                _rowwise(Q, w.wup_k.transpose(0, 2, 1)))
-            logits = _note_stack("decode.scores", _scaled(q_lat @ Z.T, config, cache))
-            A = _note_stack("decode.weights", softmax_row(logits))
-            az = _note_stack("factored.latent_mix", A @ Z)
-            out = _note_stack("decode.out", _rowwise(az, w.wup_v))
+            q_lat = _note("factored.latent_query",
+                          _rowwise(Q, w.wup_k.transpose(0, 2, 1)))
+            logits = _note("decode.scores", _scaled(q_lat @ Z.T, config, cache))
+            A = _note("decode.weights", softmax_row(logits))
+            az = _note("factored.latent_mix", A @ Z)
+            out = _note("decode.out", _rowwise(az, w.wup_v))
             return _finalize(logits, out)
 
-        base = _note_stack("factored.shared_scores", Q @ cache.k_shared[:t].T)
+        base = _note("factored.shared_scores", Q @ cache.k_shared[:t].T)
         if config.r == 0:
-            logits = _note_stack("decode.scores", _scaled(base, config, cache))
+            logits = _note("decode.scores", _scaled(base, config, cache))
         else:
-            qb = _note_stack("factored.k_latent_query", _rowwise(Q, w.bk))
-            corr = _note_stack("factored.score_correction",
-                               (cache.rk[:, :t] @ qb[:, :, None])[:, :, 0])
-            logits = _note_stack("decode.scores", _scaled(base + corr, config, cache))
-        A = _note_stack("decode.weights", softmax_row(logits))
-        base_out = _note_stack("factored.shared_out", A @ cache.v_shared[:t])
+            qb = _note("factored.k_latent_query", _rowwise(Q, w.bk))
+            corr = _note("factored.score_correction",
+                         (cache.rk[:, :t] @ qb[:, :, None])[:, :, 0])
+            logits = _note("decode.scores", _scaled(base + corr, config, cache))
+        A = _note("decode.weights", softmax_row(logits))
+        base_out = _note("factored.shared_out", A @ cache.v_shared[:t])
         if config.r == 0:
             out = base_out
         else:
-            av = _note_stack("factored.v_latent_mix", _rowwise(A, cache.rv[:, :t]))
-            out = _note_stack("decode.out",
-                              base_out + _rowwise(av, w.bv.transpose(0, 2, 1)))
+            av = _note("factored.v_latent_mix", _rowwise(A, cache.rv[:, :t]))
+            out = _note("decode.out",
+                        base_out + _rowwise(av, w.bv.transpose(0, 2, 1)))
         return _finalize(logits, out)
     except BaseException:
         _truncate(cache, t - 1)
         raise
-
-
-class _ElemCounter:
-    """Alloc-hook that sums elements of every reported transient."""
-
-    def __init__(self) -> None:
-        self.total = 0
-
-    def __call__(self, tag: str, shape: tuple) -> None:
-        n = 1
-        for s in shape:
-            n *= int(s)
-        self.total += n
-
-    def take(self) -> int:
-        out, self.total = self.total, 0
-        return out
 
 
 def equivalence_report(
@@ -456,8 +427,15 @@ def equivalence_report(
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     has_factored = config.mechanism in (Mechanism.LRKV, Mechanism.MLA)
     rows: list[dict] = []
-    counter = _ElemCounter()
-    prev_hook = set_alloc_hook(counter)
+    shapes: list[tuple] = []
+    prev_hook = set_alloc_hook(lambda tag, shape: shapes.append(shape))
+
+    def touched() -> int:
+        """Elements of the transients reported since the last call."""
+        n = sum(map(math.prod, shapes))
+        shapes.clear()
+        return n
+
     try:
         for trial in range(trials):
             trial_seed = (seed.seed + trial) & _MASK64
@@ -473,13 +451,12 @@ def equivalence_report(
             max_out = 0.0
             explicit_elems = 0
             factored_elems = 0
-            counter.take()
             for i in range(T):
                 step_e = decode_explicit(cache_e, w, config, X[i])
-                explicit_elems += counter.take()
+                explicit_elems += touched()
                 if has_factored:
                     step_f = decode_factored(cache_f, w, config, X[i])
-                    factored_elems += counter.take()
+                    factored_elems += touched()
                     max_logit = max(
                         max_logit, float(np.abs(step_e.logits - step_f.logits).max())
                     )

@@ -295,14 +295,18 @@ def _cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
-def _add_config_source(p, need_mechanism=True):
-    p.add_argument("--preset", choices=PRESET_NAMES)
-    p.add_argument("--config-json", metavar="PATH")
-    if need_mechanism:
+def _add_config_source(p, mechanism=True, config_json=True, rank=True):
+    """Add --preset and --set, and those of --config-json, --mechanism and
+    --rank that the command reads; without --config-json, --preset is required."""
+    p.add_argument("--preset", choices=PRESET_NAMES, required=not config_json)
+    if config_json:
+        p.add_argument("--config-json", metavar="PATH")
+    if mechanism:
         p.add_argument("--mechanism", default="lrkv",
                        choices=[m.value for m in Mechanism])
-    p.add_argument("--rank", type=int, default=None,
-                   help="low-rank residual rank (default: preset's measured rank)")
+    if rank:
+        p.add_argument("--rank", type=int, default=None,
+                       help="low-rank residual rank (default: preset's measured rank)")
     p.add_argument("--set", action="append", metavar="FIELD=VALUE",
                    help="override a config field (repeatable)")
 
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("memory", help="cache-size table")
-    _add_config_source(p, need_mechanism=False)
+    _add_config_source(p, mechanism=False)
     p.add_argument("--tokens", type=int, default=2048)
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--bytes", type=int, default=2)
@@ -342,13 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_memory)
 
     p = sub.add_parser("flops", help="decode FLOPs per mechanism")
-    _add_config_source(p, need_mechanism=False)
+    _add_config_source(p, mechanism=False, config_json=False)
     p.add_argument("--tokens", type=int, default=2048)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_flops)
 
-    p = sub.add_parser("ablate", help="sweep low-rank residual ranks")
-    _add_config_source(p, need_mechanism=False)
+    # No abbreviations: ablate reads no --rank, so "--rank 5" must not pass
+    # as "--ranks 5".
+    p = sub.add_parser("ablate", help="sweep low-rank residual ranks", allow_abbrev=False)
+    _add_config_source(p, mechanism=False, config_json=False, rank=False)
     p.add_argument("--ranks", default="8,16,32,64,128")
     p.add_argument("--tokens", type=int, default=2048)
     p.add_argument("--out", default="-")

@@ -12,8 +12,9 @@ each head's slice of the ``effective_kv_weights`` expansion, and
     <A_i, A_j>_F = tr((W_i^K)^T W_j^K (W_j^Q)^T W_i^Q)
 
 turns each inner product into two d_h x d_h products, which is how ``gram``
-evaluates it (``BilinearFormSet.form`` materializes one A_h for tests and
-small-d cross-checks).
+evaluates it, one row of the Gram (every j >= i) per pair of stacked products
+(``BilinearFormSet.form`` materializes one A_h for tests and small-d
+cross-checks).
 
 Spectral summaries follow the kernel-PCA recipe: cosine-normalize the Gram,
 double-center it, take the eigenvalues (cyclic Jacobi), and report the
@@ -103,14 +104,6 @@ def bilinear_forms(w: WeightSet, config: AttentionConfig) -> BilinearFormSet:
     return BilinearFormSet(wq=w.wq, wk=wk)
 
 
-def _form_inner(forms: BilinearFormSet, i: int, j: int) -> float:
-    # tr(A_i^T A_j) via the small side: two d_h x d_h products instead of
-    # two d x d forms. tr(PQ) = sum(P * Q.T).
-    P = forms.wk[i].T @ forms.wk[j]
-    Q = forms.wq[j].T @ forms.wq[i]
-    return float(np.sum(P * Q.T))
-
-
 def gram(forms: BilinearFormSet, normalize: bool) -> GramMatrix:
     """Gram matrix of the head forms under the Frobenius inner product.
 
@@ -121,9 +114,11 @@ def gram(forms: BilinearFormSet, normalize: bool) -> GramMatrix:
     H = forms.H
     G = np.empty((H, H), dtype=np.float64)
     for i in range(H):
-        for j in range(i, H):
-            G[i, j] = _form_inner(forms, i, j)
-            G[j, i] = G[i, j]
+        # Row i from j = i on, via the small side: two stacks of d_h x d_h
+        # products instead of d x d forms, and tr(PQ) = sum(P * Q.T).
+        P = forms.wk[i].T @ forms.wk[i:]
+        Q = forms.wq[i:].mT @ forms.wq[i]
+        G[i, i:] = G[i:, i] = np.sum(P * Q.mT, axis=(1, 2))
     if not normalize:
         return GramMatrix(G=G, normalized=False, centered=False)
     G, degenerate = _cosine(G)

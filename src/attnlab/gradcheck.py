@@ -10,7 +10,7 @@ for arbitrary upstream gradients. The shared base receives the sum of all
 heads' contributions, which is checked as a whole.
 
 Small tensors are checked entry by entry with central differences; tensors
-above ``max_elements`` fall back to directional derivatives along random
+above ``MAX_ELEMENTS`` fall back to directional derivatives along random
 unit directions (still central differences, just projected), which keeps
 the check tractable at large widths. Each row reports which mode ran.
 """
@@ -28,6 +28,7 @@ _MASK64 = (1 << 64) - 1
 GRADCHECK_TOL = 1e-4
 DEFAULT_EPS = 1e-6
 DEFAULT_T = 4
+MAX_ELEMENTS = 4096  # larger tensors are checked along random directions
 N_DIRECTIONS = 8
 
 
@@ -39,18 +40,18 @@ def _loss(X, cotangents, shared, us, bs):
     return total
 
 
-def _fd_elementwise(loss_at, param, eps):
+def _fd_elementwise(loss_at, param):
     grad = np.zeros_like(param)
     it = np.nditer(param, flags=["multi_index"])
     for _ in it:
         idx = it.multi_index
         orig = param[idx]
-        param[idx] = orig + eps
+        param[idx] = orig + DEFAULT_EPS
         up = loss_at()
-        param[idx] = orig - eps
+        param[idx] = orig - DEFAULT_EPS
         down = loss_at()
         param[idx] = orig
-        grad[idx] = (up - down) / (2.0 * eps)
+        grad[idx] = (up - down) / (2.0 * DEFAULT_EPS)
     return grad
 
 
@@ -59,30 +60,25 @@ def _relative_error(analytic, fd):
     return float(np.linalg.norm(analytic - fd)) / denom
 
 
-def _directional_error(loss_at, param, analytic, eps, gen):
+def _directional_error(loss_at, param, analytic, gen):
     base = param.copy()
     worst = 0.0
     for _ in range(N_DIRECTIONS):
         delta = gen.standard_normal(param.shape)
         delta /= np.linalg.norm(delta)
         analytic_dd = float(np.sum(analytic * delta))
-        param[...] = base + eps * delta
+        param[...] = base + DEFAULT_EPS * delta
         up = loss_at()
-        param[...] = base - eps * delta
+        param[...] = base - DEFAULT_EPS * delta
         down = loss_at()
         param[...] = base
-        fd_dd = (up - down) / (2.0 * eps)
+        fd_dd = (up - down) / (2.0 * DEFAULT_EPS)
         worst = max(worst, abs(analytic_dd - fd_dd) / max(abs(fd_dd), 1e-12))
     return worst
 
 
 def gradcheck_rows(
-    config: AttentionConfig,
-    seed: RngSpec,
-    instances: int = 20,
-    eps: float = DEFAULT_EPS,
-    T: int = DEFAULT_T,
-    max_elements: int = 4096,
+    config: AttentionConfig, seed: RngSpec, instances: int = 20
 ) -> list[dict]:
     """Compare projection_backward against central differences.
 
@@ -99,12 +95,12 @@ def gradcheck_rows(
         inst_seed = (seed.seed + instance) & _MASK64
         w = init_weights(config, RngSpec(seed=inst_seed))
         gen = np.random.Generator(np.random.PCG64(inst_seed).jumped())
-        X = gen.standard_normal((T, config.d))
+        X = gen.standard_normal((DEFAULT_T, config.d))
         for path in ("k", "v"):
             factors = ("wk_shared", "uk", "bk") if path == "k" else ("wv_shared", "uv", "bv")
             shared, us, bs = (getattr(w, name).copy() for name in factors)
             cotangents = [
-                gen.standard_normal((T, config.d_h)) for _ in range(config.H)
+                gen.standard_normal((DEFAULT_T, config.d_h)) for _ in range(config.H)
             ]
 
             analytic_shared = np.zeros_like(shared)
@@ -126,12 +122,12 @@ def gradcheck_rows(
             for name, param, analytic in targets:
                 if param.size == 0:
                     continue
-                if param.size <= max_elements:
-                    fd = _fd_elementwise(loss_at, param, eps)
+                if param.size <= MAX_ELEMENTS:
+                    fd = _fd_elementwise(loss_at, param)
                     rel = _relative_error(analytic, fd)
                     mode = "elementwise"
                 else:
-                    rel = _directional_error(loss_at, param, analytic, eps, gen)
+                    rel = _directional_error(loss_at, param, analytic, gen)
                     mode = "directional"
                 rows.append({
                     "instance": instance,

@@ -1,6 +1,18 @@
+import math
+
+import numpy as np
 import pytest
 
-from attnlab import Mechanism, gqa_group
+from attnlab import (
+    Mechanism,
+    RngSpec,
+    decode_explicit,
+    decode_factored,
+    gqa_group,
+    init_weights,
+    prefill,
+    set_alloc_hook,
+)
 
 
 def _per_head_kv(w, config, h):
@@ -19,3 +31,57 @@ def _per_head_kv(w, config, h):
 @pytest.fixture
 def per_head_kv():
     return _per_head_kv
+
+
+def _flops_per_element(tag, config, t, path):
+    """Multiply+add count behind one element of a noted transient."""
+    c = config
+    mla = c.mechanism is Mechanism.MLA
+    if path == "factored":  # lrkv scores: (base + corr) * scale
+        scores = 2 * c.d_c + 1 if mla else (2 if c.r > 0 else 1)
+        out = 2 * c.d_c if mla else 2 * c.r + 1
+    else:
+        scores, out = 2 * c.d_h + 1, 2 * t
+    head = 2 * c.d_c if mla else 2 * c.r + 1  # lrkv: residual lift + shared add
+    if tag.startswith("append."):
+        return 2 * c.d  # a row of x @ W
+    return {
+        "decode.query": 2 * c.d,
+        "explicit.k_head": head,
+        "explicit.v_head": head,
+        "decode.scores": scores,
+        "decode.weights": 5,
+        "decode.out": out,
+        "factored.latent_query": 2 * c.d_h,
+        "factored.latent_mix": 2 * t,
+        "factored.shared_scores": 2 * c.d_h,
+        "factored.k_latent_query": 2 * c.d_h,
+        "factored.score_correction": 2 * c.r,
+        "factored.shared_out": 2 * t,
+        "factored.v_latent_mix": 2 * t,
+    }[tag]
+
+
+def _instrumented_step_flops(config, T, path):
+    """FLOPs of one real decode step at length T, tallied from the alloc
+    hook's events: each event costs its elements times the per-element
+    count of the op that made it, whatever its (H, ...) or (..., T, cols)
+    shape."""
+    w = init_weights(config, RngSpec(seed=0))
+    X = np.random.default_rng(1).standard_normal((T, config.d))
+    cache = prefill(w, config, X[:-1], capacity=T)
+    events = []
+    prev = set_alloc_hook(lambda tag, shape: events.append((tag, shape)))
+    try:
+        fn = decode_factored if path == "factored" else decode_explicit
+        fn(cache, w, config, X[-1])
+    finally:
+        set_alloc_hook(prev)
+    t = cache.length
+    return sum(_flops_per_element(tag, config, t, path) * math.prod(shape)
+               for tag, shape in events)
+
+
+@pytest.fixture
+def instrumented_step_flops():
+    return _instrumented_step_flops

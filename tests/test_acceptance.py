@@ -36,7 +36,6 @@ from attnlab import (
     init_weights,
     kv_param_count,
     prefill,
-    set_alloc_hook,
     spectrum,
     svd_truncate,
 )
@@ -204,53 +203,7 @@ def test_criterion_05_kv_parameter_model_and_boundaries():
         assert kv_param_count(gq) == kv_param_count(full)
 
 
-def _tally_flops(tag, config, t, path):
-    """Multiply+add cost of the op behind one noted transient."""
-    c = config
-    if tag in ("append.k_row", "append.v_row"):
-        return 2 * c.d * c.d_h
-    if tag in ("append.rk_row", "append.rv_row"):
-        return 2 * c.d * c.r
-    if tag == "decode.query":
-        return 2 * c.d * c.d_h
-    if tag == "decode.scores":
-        if path == "factored":
-            return 2 * t if c.r > 0 else t
-        return 2 * t * c.d_h + t
-    if tag == "decode.weights":
-        return 5 * t
-    if tag == "decode.out":
-        if path == "factored":
-            return 2 * c.r * c.d_h + c.d_h
-        return 2 * t * c.d_h
-    if tag == "factored.shared_scores":
-        return 2 * t * c.d_h
-    if tag == "factored.k_latent_query":
-        return 2 * c.d_h * c.r
-    if tag == "factored.score_correction":
-        return 2 * t * c.r
-    if tag == "factored.shared_out":
-        return 2 * t * c.d_h
-    if tag == "factored.v_latent_mix":
-        return 2 * t * c.r
-    raise AssertionError(f"unmapped tag {tag}")
-
-
-def _instrumented_flops(config, T, path):
-    w = init_weights(config, RngSpec(seed=0))
-    X = np.random.default_rng(1).standard_normal((T, config.d))
-    cache = prefill(w, config, X[:-1], capacity=T)
-    events = []
-    prev = set_alloc_hook(lambda tag, shape: events.append(tag))
-    try:
-        fn = decode_factored if path == "factored" else decode_explicit
-        fn(cache, w, config, X[-1])
-    finally:
-        set_alloc_hook(prev)
-    return sum(_tally_flops(tag, config, cache.length, path) for tag in events)
-
-
-def test_criterion_06_decode_overhead_and_instrumented_agreement():
+def test_criterion_06_decode_overhead_and_instrumented_agreement(instrumented_step_flops):
     lrkv = AttentionConfig(mechanism=Mechanism.LRKV, d=768, H=6, d_h=128, r=64)
     mha = AttentionConfig(mechanism=Mechanism.MHA, d=768, H=6, d_h=128)
     T = 4096
@@ -258,7 +211,7 @@ def test_criterion_06_decode_overhead_and_instrumented_agreement():
     assert abs(overhead - 0.50) / 0.50 <= 0.10, overhead
     for config, path in ((lrkv, "factored"), (mha, "explicit")):
         closed, _ = decode_flops(CostQuery(config=config, T=T))
-        measured = _instrumented_flops(config, T, path)
+        measured = instrumented_step_flops(config, T, path)
         assert abs(measured - closed) / closed <= 0.05, (config.mechanism,
                                                          measured, closed)
 

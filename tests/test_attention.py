@@ -146,7 +146,7 @@ def test_forward_agrees_with_incremental_decode(config):
     cache = prefill(w, config, X[:0], capacity=T)
     for i in range(T):
         step = decode_explicit(cache, w, config, X[i])
-        assert np.allclose(step.concat_out(), Y[i], atol=1e-6), f"row {i}"
+        assert np.allclose(step.concat_out(), Y[i], rtol=0, atol=1e-9), f"row {i}"
 
 
 def _forward_per_head(w, config, X, per_head_kv):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 from collections import Counter
 
@@ -157,22 +158,51 @@ def test_prefill_equals_appends_at_the_128m_shape(mechanism, kw, case, aligned):
             assert fa.tobytes() == fb.tobytes(), field
 
 
-@pytest.mark.parametrize("mechanism,kw", [
+PREFILL_EVENT_CASES = [
     (Mechanism.MHA, {}), (Mechanism.MQA, {}), (Mechanism.GQA, {"G": 2}),
     (Mechanism.MLA, {"d_c": 10}), (Mechanism.LRKV, {"r": 5}), (Mechanism.LRKV, {"r": 0}),
-], ids=["mha", "mqa", "gqa", "mla", "lrkv", "lrkv-r0"])
+]
+PREFILL_EVENT_IDS = ["mha", "mqa", "gqa", "mla", "lrkv", "lrkv-r0"]
+
+
+def _elements_by_tag(events):
+    totals = Counter()
+    for tag, shape in events:
+        totals[tag] += math.prod(shape)
+    return totals
+
+
+@pytest.mark.parametrize("mechanism,kw", PREFILL_EVENT_CASES, ids=PREFILL_EVENT_IDS)
 def test_prefill_reports_the_alloc_events_of_its_appends(log, mechanism, kw):
+    """Per tag, a prefill covers the elements of its T appends, in one event
+    per stream where the appends report one per stream per token."""
     config = cfg(mechanism, **kw)
     w = init_weights(config, RngSpec(seed=22))
     X = np.random.default_rng(23).standard_normal((7, config.d))
     log.drain()
-    prefill(w, config, X)
+    cache = prefill(w, config, X)
     blocked = log.drain()
-    cache = empty_cache(config, capacity=7)
+    appended = empty_cache(config, capacity=7)
     for row in X:
-        append_token(cache, w, config, row)
+        append_token(appended, w, config, row)
     rowwise = log.drain()
-    assert blocked and Counter(blocked) == Counter(rowwise)
+    streams = len(cache._buffers())
+    assert len(blocked) == streams and len(rowwise) == 7 * streams
+    assert _elements_by_tag(blocked) == _elements_by_tag(rowwise)
+
+
+@pytest.mark.parametrize("mechanism,kw", PREFILL_EVENT_CASES, ids=PREFILL_EVENT_IDS)
+def test_prefill_calls_the_hook_once_per_stream(log, mechanism, kw):
+    """A T-token prefill reports each stream's (..., T, cols) block once, not
+    one event per row per head."""
+    config = cfg(mechanism, **kw)
+    w = init_weights(config, RngSpec(seed=26))
+    X = np.random.default_rng(27).standard_normal((9, config.d))
+    log.drain()
+    cache = prefill(w, config, X, capacity=12)
+    want = [(tag, getattr(cache, field)[..., :9, :].shape)
+            for field, (_, tag) in STREAMS.items() if getattr(cache, field) is not None]
+    assert log.drain() == want
 
 
 @pytest.mark.parametrize("mechanism,kw", [
@@ -367,6 +397,20 @@ def test_factored_step_peak_memory_is_below_one_head_matrix(mechanism, kw):
     assert step_peak(decode_explicit) > head_matrix
 
 
+def _assert_small_transients(events, config, t, allowed):
+    """Every decode transient is (H, k) with k in ``allowed``; the step's own
+    append writes one row of k columns per stream, k not t."""
+    assert events, "hook saw no traffic"
+    for tag, shape in events:
+        assert not tag.startswith("explicit."), tag
+        if tag.startswith("append."):
+            assert shape[-2] == 1 and shape[-1] in allowed - {t}, (tag, shape)
+            assert shape[:-2] in ((), (config.H,)), (tag, shape)
+        else:
+            assert len(shape) == 2 and shape[0] == config.H, (tag, shape)
+            assert shape[1] in allowed, (tag, shape)
+
+
 def test_factored_transients_are_small_vectors(log):
     """The factored decode path must never build a (t, d_h) matrix."""
     config = cfg(Mechanism.LRKV, r=5)
@@ -375,14 +419,8 @@ def test_factored_transients_are_small_vectors(log):
     cache = prefill(w, config, X[:9], capacity=10)
     log.drain()
     decode_factored(cache, w, config, X[9])
-    events = log.drain()
-    assert events, "hook saw no traffic"
     t = cache.length
-    allowed = {t, config.r, config.d_h}
-    for tag, shape in events:
-        assert len(shape) == 1, f"{tag} allocated {shape}"
-        assert shape[0] in allowed, f"{tag} allocated {shape}"
-        assert not tag.startswith("explicit."), tag
+    _assert_small_transients(log.drain(), config, t, {t, config.r, config.d_h})
 
 
 def test_factored_mla_transients_are_small_vectors(log):
@@ -393,9 +431,7 @@ def test_factored_mla_transients_are_small_vectors(log):
     log.drain()
     decode_factored(cache, w, config, X[7])
     t = cache.length
-    allowed = {t, config.d_c, config.d_h}
-    for tag, shape in log.drain():
-        assert len(shape) == 1 and shape[0] in allowed, (tag, shape)
+    _assert_small_transients(log.drain(), config, t, {t, config.d_c, config.d_h})
 
 
 def test_explicit_path_visibly_materializes_per_head(log):
@@ -407,7 +443,7 @@ def test_explicit_path_visibly_materializes_per_head(log):
     log.drain()
     decode_explicit(cache, w, config, X[5])
     shapes = [shape for tag, shape in log.drain() if tag == "explicit.k_head"]
-    assert shapes == [(6, config.d_h)] * config.H
+    assert shapes == [(config.H, 6, config.d_h)]
 
 
 def test_factored_non_t_traffic_is_length_independent(log):
@@ -421,8 +457,9 @@ def test_factored_non_t_traffic_is_length_independent(log):
         log.drain()
         decode_factored(cache, w, config, X[-1])
         events = log.drain()
-        totals.append(sum(s[0] for tag, s in events if s[0] != cache.length))
-    assert totals[0] == totals[1]
+        assert any(s[-1] == cache.length for tag, s in events)
+        totals.append(sum(math.prod(s) for tag, s in events if s[-1] != cache.length))
+    assert totals[0] == totals[1] > 0
 
 
 def test_set_alloc_hook_returns_previous():

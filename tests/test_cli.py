@@ -299,3 +299,19 @@ def test_unreadable_config_json_is_a_usage_error(tmp_path, capsys, command, cont
     assert run_cli([command, "--config-json", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable config JSON") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["flops"],
+    ["ablate"],
+    ["flops", "--config-json", "c.json"],
+    ["flops", "--preset", "128M", "--config-json", "c.json"],
+    ["ablate", "--preset", "128M", "--config-json", "c.json"],
+    ["ablate", "--preset", "128M", "--rank", "5"],
+], ids=["flops-no-preset", "ablate-no-preset", "flops-config-json-only",
+        "flops-config-json", "ablate-config-json", "ablate-rank"])
+def test_flops_and_ablate_take_only_the_flags_they_read(capsys, argv):
+    """A flag the command would ignore, or a missing --preset, is a usage error."""
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: attnlab") and "Traceback" not in err

@@ -8,22 +8,16 @@ from attnlab import (
     ConfigurationError,
     CostQuery,
     Mechanism,
-    RngSpec,
     UnsupportedMechanismError,
     ablation_table,
     cache_bytes,
     cache_ratio,
     cost_report,
-    decode_explicit,
-    decode_factored,
     decode_flops,
     decode_flops_breakdown,
     empty_cache,
-    init_weights,
     kv_param_count,
     measured_cache_bytes,
-    prefill,
-    set_alloc_hook,
 )
 
 
@@ -219,67 +213,6 @@ def test_t_dependence_classification():
 # ------------------------------------------------- instrumented agreement
 
 
-def _gemv_flops(tag, shape, config, t, path):
-    """Multiply+add count of the op that produced one noted transient."""
-    c = config
-    if tag in ("append.k_row", "append.v_row"):
-        return 2 * c.d * c.d_h
-    if tag == "append.z_row":
-        return 2 * c.d * c.d_c
-    if tag in ("append.rk_row", "append.rv_row"):
-        return 2 * c.d * c.r
-    if tag == "decode.query":
-        return 2 * c.d * c.d_h
-    if tag in ("explicit.k_head", "explicit.v_head"):
-        if c.mechanism is Mechanism.MLA:
-            return 2 * t * c.d_c * c.d_h
-        return 2 * t * c.r * c.d_h + t * c.d_h  # residual lift + shared add
-    if tag == "decode.scores":
-        if path == "factored" and c.mechanism is Mechanism.MLA:
-            return 2 * t * c.d_c + t
-        if path == "factored":  # low-rank: (base + corr) * scale
-            return 2 * t if c.r > 0 else t
-        return 2 * t * c.d_h + t
-    if tag == "decode.weights":
-        return 5 * t
-    if tag == "decode.out":
-        if path == "factored" and c.mechanism is Mechanism.MLA:
-            return 2 * c.d_c * c.d_h
-        if path == "factored":
-            return 2 * c.r * c.d_h + c.d_h
-        return 2 * t * c.d_h
-    if tag == "factored.latent_query":
-        return 2 * c.d_h * c.d_c
-    if tag == "factored.latent_mix":
-        return 2 * t * c.d_c
-    if tag == "factored.shared_scores":
-        return 2 * t * c.d_h
-    if tag == "factored.k_latent_query":
-        return 2 * c.d_h * c.r
-    if tag == "factored.score_correction":
-        return 2 * t * c.r
-    if tag == "factored.shared_out":
-        return 2 * t * c.d_h
-    if tag == "factored.v_latent_mix":
-        return 2 * t * c.r
-    raise AssertionError(f"unmapped tag {tag}")
-
-
-def instrumented_step_flops(config, T, path):
-    w = init_weights(config, RngSpec(seed=0))
-    X = np.random.default_rng(1).standard_normal((T, config.d))
-    cache = prefill(w, config, X[:-1], capacity=T)
-    events = []
-    prev = set_alloc_hook(lambda tag, shape: events.append((tag, shape)))
-    try:
-        fn = decode_factored if path == "factored" else decode_explicit
-        fn(cache, w, config, X[-1])
-    finally:
-        set_alloc_hook(prev)
-    t = cache.length
-    return sum(_gemv_flops(tag, shape, config, t, path) for tag, shape in events)
-
-
 @pytest.mark.parametrize("mechanism,kw,path,mla_path", [
     (Mechanism.MHA, {}, "explicit", "reconstruct"),
     (Mechanism.MQA, {}, "explicit", "reconstruct"),
@@ -289,7 +222,8 @@ def instrumented_step_flops(config, T, path):
     (Mechanism.LRKV, {"r": 5}, "factored", "reconstruct"),
     (Mechanism.LRKV, {"r": 0}, "factored", "reconstruct"),
 ])
-def test_instrumented_count_agrees_with_closed_form(mechanism, kw, path, mla_path):
+def test_instrumented_count_agrees_with_closed_form(mechanism, kw, path, mla_path,
+                                                   instrumented_step_flops):
     """Count every multiply/add the real decode step performs; compare."""
     config = cfg(mechanism, **kw)
     T = 64
