@@ -96,14 +96,25 @@ def _load_config_json(path: str) -> AttentionConfig:
     return AttentionConfig.from_json_dict(obj)
 
 
+def _json_config(args) -> AttentionConfig | None:
+    """The --config-json config, or None without one. The JSON is the whole
+    config, so --preset, --mechanism and --rank beside it are rejected."""
+    if not getattr(args, "config_json", None):
+        return None
+    mixed = [f"--{name}" for name in ("preset", "mechanism", "rank")
+             if getattr(args, name, None) is not None]
+    if mixed:
+        raise ConfigurationError(f"--config-json excludes {', '.join(mixed)}")
+    return _load_config_json(args.config_json)
+
+
 def _resolve_config(args) -> AttentionConfig:
     """Config from --config-json or --preset + --mechanism, plus --set."""
-    if getattr(args, "config_json", None):
-        config = _load_config_json(args.config_json)
-    else:
+    config = _json_config(args)
+    if config is None:
         if not getattr(args, "preset", None):
             raise ConfigurationError("provide --preset or --config-json")
-        config = config_for(args.preset, args.mechanism,
+        config = config_for(args.preset, args.mechanism or Mechanism.LRKV,
                             rank=getattr(args, "rank", None))
     return _apply_overrides(config, getattr(args, "set", None))
 
@@ -169,9 +180,9 @@ def _cmd_memory(args) -> int:
     header = ["mechanism", "cache_bytes", "cache_mib", "ratio_vs_mha",
               "ratio_formula", "kv_param_count"]
     rows = []
-    if args.config_json:
-        config = _apply_overrides(_load_config_json(args.config_json), args.set)
-        rows.append(_memory_row(config, None, args))
+    config = _json_config(args)
+    if config is not None:
+        rows.append(_memory_row(_apply_overrides(config, args.set), None, args))
     else:
         preset = get_preset(args.preset)
         for mech in MECHANISM_ORDER:
@@ -302,8 +313,9 @@ def _add_config_source(p, mechanism=True, config_json=True, rank=True):
     if config_json:
         p.add_argument("--config-json", metavar="PATH")
     if mechanism:
-        p.add_argument("--mechanism", default="lrkv",
-                       choices=[m.value for m in Mechanism])
+        # Default None, read as lrkv, so that an explicit --mechanism is seen.
+        p.add_argument("--mechanism", choices=[m.value for m in Mechanism],
+                       help="attention mechanism (default: lrkv)")
     if rank:
         p.add_argument("--rank", type=int, default=None,
                        help="low-rank residual rank (default: preset's measured rank)")

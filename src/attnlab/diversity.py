@@ -17,7 +17,7 @@ evaluates it, one row of the Gram (every j >= i) per pair of stacked products
 cross-checks).
 
 Spectral summaries follow the kernel-PCA recipe: cosine-normalize the Gram,
-double-center it, take the eigenvalues (cyclic Jacobi), and report the
+double-center it, take the eigenvalues (round-robin Jacobi), and report the
 exp-entropy effective rank — a smooth count of independent directions the
 heads actually span around their mean.
 """

@@ -315,3 +315,33 @@ def test_flops_and_ablate_take_only_the_flags_they_read(capsys, argv):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: attnlab") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-weights", "--preset", "128M"],
+    ["gen-weights", "--mechanism", "lrkv"],
+    ["gen-weights", "--rank", "5"],
+    ["verify", "--preset", "6.3B", "--mechanism", "mha"],
+    ["verify", "--mechanism", "lrkv"],
+    ["verify", "--rank", "5"],
+    ["memory", "--preset", "6.3B"],
+    ["memory", "--rank", "5"],
+], ids=lambda argv: " ".join(argv))
+def test_config_json_excludes_preset_mechanism_and_rank(tmp_path, capsys, argv):
+    """The JSON is the whole config: a preset-side flag beside it, even one
+    equal to its default, is a usage error rather than silently dropped."""
+    out = tmp_path / "out"
+    command, *flags = argv
+    assert run_cli([command, "--config-json", write_config(tmp_path, LRKV_SMALL),
+                    *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --config-json excludes") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, mechanism", [([], "lrkv"), (["--mechanism", "mha"], "mha")])
+def test_preset_and_mechanism_still_pick_the_config(tmp_path, flags, mechanism):
+    out = str(tmp_path / "verify.csv")
+    assert run_cli(["verify", "--preset", "128M", *flags, "--tokens", "2",
+                    "--trials", "1", "--out", out]) == 0
+    assert {r["mechanism"] for r in read_csv(out)} == {mechanism}

@@ -379,3 +379,18 @@ def test_magnitude_report_equals_the_per_head_loop(r, dtype):
             assert getattr(rep, f"residual_{p}")[h] == res, (p, h)
             assert getattr(rep, f"total_{p}")[h] == np.linalg.norm(shared + R), (p, h)
             assert getattr(rep, f"cosine_{p}")[h] == cos, (p, h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 24])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_input_is_a_numerical_error(n, bad):
+    """A poisoned Gram or weight raises, instead of an effective rank of 1.0
+    or an err of nan."""
+    G = np.eye(n)
+    G[0, n - 1] = G[n - 1, 0] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        spectrum(GramMatrix(G=G, normalized=True, centered=False))
+    W = np.random.default_rng(n).standard_normal((n + 3, n))
+    W[1, n - 1] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        svd_truncate(W, n // 2)

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from attnlab import DimensionError, NumericalError
-from attnlab.jacobi import MAX_SWEEPS, jacobi_eigh, off_diagonal_norm
+from attnlab.jacobi import MAX_SWEEPS, jacobi_eigh, off_diagonal_norm, round_robin
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -102,3 +104,63 @@ def test_off_diagonal_norm():
 def test_reconstruction_property(n, seed):
     A = random_symmetric(np.random.default_rng(seed), n)
     check_against_numpy(A)
+
+
+@pytest.mark.parametrize("n", range(2, 34))
+def test_round_robin_visits_every_pair_once_in_disjoint_rounds(n):
+    P, Q = round_robin(n)
+    rounds = n - 1 + n % 2  # n rounded up to even, minus one
+    assert P.shape == Q.shape == (rounds, n // 2)
+    assert (P < Q).all() and P.min() >= 0 and Q.max() < n
+    for p, q in zip(P, Q):
+        assert len(set(p) | set(q)) == 2 * (n // 2)  # disjoint pairs
+    pairs = sorted(zip(P.ravel().tolist(), Q.ravel().tolist()))
+    assert pairs == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    assert not P.flags.writeable and not Q.flags.writeable
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_matches_numpy_at_full_head_width(n):
+    check_against_numpy(random_symmetric(np.random.default_rng(n), n))
+
+
+def check_absolute_against_numpy(A, tol=1e-12):
+    """Errors relative to ||A||_F: all a two-sided Jacobi method promises."""
+    evals, V = jacobi_eigh(A)
+    norm = np.linalg.norm(A)
+    ref = np.sort(np.linalg.eigvalsh(A))[::-1]
+    assert np.abs(evals - ref).max() <= tol * norm
+    assert np.abs(V.T @ V - np.eye(len(A))).max() < 1e-12
+    assert np.abs(V @ np.diag(evals) @ V.T - A).max() <= tol * norm
+
+
+@pytest.mark.parametrize("n", [2, 7, 24, 33])
+def test_repeated_eigenvalues_identity_plus_rank_one(n):
+    u = np.random.default_rng(5).standard_normal(n)
+    A = np.eye(n) + np.outer(u, u)
+    check_absolute_against_numpy(A)
+    evals, _ = jacobi_eigh(A)
+    assert evals[0] == pytest.approx(1.0 + u @ u, rel=1e-12)
+    assert np.abs(evals[1:] - 1.0).max() < 1e-12 * np.linalg.norm(A)
+
+
+@pytest.mark.parametrize("n", [6, 24, 64])
+def test_spectrum_from_one_down_to_1e_minus_12(n):
+    Qm, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((n, n)))
+    A = Qm @ np.diag(np.logspace(0, -12, n)) @ Qm.T
+    check_absolute_against_numpy((A + A.T) / 2.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 24])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_input_is_rejected_before_any_sweep(n, bad):
+    A = np.eye(n)
+    A[0, n - 1] = A[n - 1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(NumericalError, match="non-finite"):
+            jacobi_eigh(A)
+    if n > 1:  # one-sided: NumericalError, not the symmetry check's DimensionError
+        A[n - 1, 0] = 0.0
+        with pytest.raises(NumericalError, match="non-finite"):
+            jacobi_eigh(A)
