@@ -32,6 +32,7 @@ import csv
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -108,13 +109,19 @@ def _json_config(args) -> AttentionConfig | None:
     return _load_config_json(args.config_json)
 
 
+def _preset_name(args) -> str:
+    """--preset's value; called when there is no --config-json, so a missing
+    --preset means neither config source was given (a usage error)."""
+    if not getattr(args, "preset", None):
+        raise ConfigurationError("provide --preset or --config-json")
+    return args.preset
+
+
 def _resolve_config(args) -> AttentionConfig:
     """Config from --config-json or --preset + --mechanism, plus --set."""
     config = _json_config(args)
     if config is None:
-        if not getattr(args, "preset", None):
-            raise ConfigurationError("provide --preset or --config-json")
-        config = config_for(args.preset, args.mechanism or Mechanism.LRKV,
+        config = config_for(_preset_name(args), args.mechanism or Mechanism.LRKV,
                             rank=getattr(args, "rank", None))
     return _apply_overrides(config, getattr(args, "set", None))
 
@@ -184,7 +191,7 @@ def _cmd_memory(args) -> int:
     if config is not None:
         rows.append(_memory_row(_apply_overrides(config, args.set), None, args))
     else:
-        preset = get_preset(args.preset)
+        preset = get_preset(_preset_name(args))
         for mech in MECHANISM_ORDER:
             config = config_for(preset, mech, rank=args.rank)
             config = _apply_overrides(config, args.set)
@@ -323,7 +330,16 @@ def _add_config_source(p, mechanism=True, config_json=True, rank=True):
                    help="override a config field (repeatable)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process on first use.
+
+    Every ``run_cli`` call parses against this one object, so it must never
+    be mutated (no ``add_argument``, ``set_defaults`` or ``prog`` change
+    after the build). Parsing keeps no state on it: defaults, each
+    subcommand's ``func`` and the ``--set`` lists all land in a fresh
+    Namespace per call.
+    """
     parser = argparse.ArgumentParser(
         prog="attnlab",
         description="KV-cache attention laboratory: decode paths, cost models, "
@@ -397,9 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv: list[str]) -> int:
     """Parse and execute; returns the process exit code (0/1/2)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:

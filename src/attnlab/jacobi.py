@@ -120,7 +120,8 @@ def jacobi_eigh(
     Returns (evals, V) with A ≈ V @ diag(evals) @ V.T and V's columns the
     eigenvectors. Convergence: off-diagonal Frobenius norm below
     rel_tol * ||A||_F (exact zero for the empty and 1x1 cases). A NaN or
-    infinite entry raises NumericalError, ahead of the symmetry check.
+    infinite entry raises NumericalError, ahead of the symmetry check, and so
+    does a Frobenius norm that overflows float64 (entries near 1e154 and up).
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -139,7 +140,12 @@ def jacobi_eigh(
     if n <= 1:
         return np.diag(a).copy(), np.eye(n)
 
-    norm = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not np.isfinite(norm):
+        # Finite entries whose squares overflow: the threshold would be inf
+        # and the unrotated diagonal would pass as converged.
+        raise NumericalError(f"matrix norm overflows float64 (|A|_max = {scale:g})")
     if norm == 0.0:
         return np.zeros(n), np.eye(n)
     threshold = rel_tol * norm

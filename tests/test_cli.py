@@ -11,7 +11,7 @@ import pytest
 
 import attnlab
 from attnlab import AttentionConfig, Mechanism, cache_bytes, CostQuery, read_archive
-from attnlab.cli import run_cli
+from attnlab.cli import build_parser, run_cli
 
 
 def read_csv(path):
@@ -23,6 +23,13 @@ def write_config(tmp_path, config, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(config.to_json_dict()))
     return str(p)
+
+
+def _source_env():
+    """The environment for a subprocess that imports this source tree."""
+    package_root = str(Path(attnlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
 LRKV_SMALL = AttentionConfig(mechanism=Mechanism.LRKV, d=64, H=4, d_h=16, r=6)
@@ -48,9 +55,7 @@ def test_console_entry_point_help():
         f"main = EntryPoint('attnlab', {target!r}, 'console_scripts').load()\n"
         "sys.exit(main())\n"
     )
-    package_root = str(Path(attnlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    env = _source_env()
     out = subprocess.run([sys.executable, "-c", code, "--help"],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
@@ -59,9 +64,7 @@ def test_console_entry_point_help():
 
 def test_python_dash_m_runs_the_cli():
     """``python -m attnlab`` needs only the package on the path, no install."""
-    package_root = str(Path(attnlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    env = _source_env()
     out = subprocess.run([sys.executable, "-m", "attnlab", "--help"],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
@@ -317,6 +320,13 @@ def test_flops_and_ablate_take_only_the_flags_they_read(capsys, argv):
     assert err.startswith("usage: attnlab") and "Traceback" not in err
 
 
+def test_memory_without_a_config_source_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "memory.csv"
+    assert run_cli(["memory", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: provide --preset or --config-json\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-weights", "--preset", "128M"],
     ["gen-weights", "--mechanism", "lrkv"],
@@ -345,3 +355,67 @@ def test_preset_and_mechanism_still_pick_the_config(tmp_path, flags, mechanism):
     assert run_cli(["verify", "--preset", "128M", *flags, "--tokens", "2",
                     "--trials", "1", "--out", out]) == 0
     assert {r["mechanism"] for r in read_csv(out)} == {mechanism}
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """run_cli parses every argv against one parser, built on first use:
+    an override, a usage error or --help leaves nothing behind on it."""
+    fresh = tmp_path / "fresh.csv"
+    subprocess.run([sys.executable, "-m", "attnlab", "memory", "--preset", "128M",
+                    "--out", str(fresh)], check=True, env=_source_env())
+    plain = [tmp_path / f"plain{i}.csv" for i in range(2)]
+    build_parser.cache_clear()
+    assert run_cli(["memory", "--preset", "128M", "--set", "r=5",
+                    "--out", str(tmp_path / "r5.csv")]) == 0
+    assert run_cli(["memory", "--preset", "128M", "--out", str(plain[0])]) == 0
+    assert run_cli(["memory", "--preset", "128M", "--no-such-flag"]) == 2
+    assert run_cli(["--help"]) == 0
+    assert run_cli(["memory", "--preset", "128M", "--out", str(plain[1])]) == 0
+    assert build_parser.cache_info().misses == 1
+    capsys.readouterr()
+    assert (tmp_path / "r5.csv").read_bytes() != fresh.read_bytes()
+    assert plain[0].read_bytes() == plain[1].read_bytes() == fresh.read_bytes()
+
+
+SMALL_SHAPE = {"d": 32, "H": 2, "d_h": 16, "n_layers": 1, "r": 4, "d_c": 16, "G": 2}
+
+
+def test_every_command_repeats_its_bytes_in_one_process(tmp_path):
+    """The same argv gives the same files on a process's first call (which
+    builds the parser) and on a later one, for every subcommand."""
+    configs = {}
+    for m in ("mha", "lrkv"):
+        configs[m] = tmp_path / f"{m}.json"
+        configs[m].write_text(json.dumps(dict(SMALL_SHAPE, mechanism=m)))
+
+    def commands(out):
+        lrkv = ["--config-json", str(configs["lrkv"])]
+        return [
+            ["gen-weights", *lrkv, "--seed", "3", "--out", str(out / "w.atn")],
+            ["gen-weights", "--config-json", str(configs["mha"]), "--seed", "4",
+             "--out", str(out / "ref.atn")],
+            ["verify", *lrkv, "--tokens", "16", "--trials", "1",
+             "--out", str(out / "verify.csv")],
+            ["memory", *lrkv, "--out", str(out / "memory.csv")],
+            ["flops", "--preset", "128M", "--out", str(out / "flops.csv")],
+            ["ablate", "--preset", "128M", "--out", str(out / "ablate.csv")],
+            ["diversity", "--weights", str(out / "w.atn"),
+             "--out-prefix", str(out / "div")],
+            ["svd-compare", "--weights", str(out / "w.atn"),
+             "--reference", str(out / "ref.atn"), "--out", str(out / "svd.csv")],
+            ["gradcheck", *lrkv, "--instances", "2", "--out", str(out / "grad.csv")],
+        ]
+
+    runs = []
+    build_parser.cache_clear()
+    for i in range(2):
+        out = tmp_path / f"call{i}"
+        out.mkdir()
+        assert [run_cli(argv) for argv in commands(out)] == [0] * 9
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert build_parser.cache_info().misses == 1
+    assert sorted(runs[0]) == sorted([
+        "w.atn", "ref.atn", "verify.csv", "memory.csv", "flops.csv", "ablate.csv",
+        "div_similarity.csv", "div_spectrum.csv", "div_cumulative.csv",
+        "div_effective_rank.csv", "svd.csv", "grad.csv"])
+    assert runs[0] == runs[1]

@@ -164,3 +164,24 @@ def test_non_finite_input_is_rejected_before_any_sweep(n, bad):
         A[n - 1, 0] = 0.0
         with pytest.raises(NumericalError, match="non-finite"):
             jacobi_eigh(A)
+
+
+@pytest.mark.parametrize("n", [2, 3, 24])
+def test_overflowing_norm_is_rejected_before_any_sweep(n):
+    """Finite entries whose Frobenius norm overflows would make the threshold
+    inf, so the unrotated diagonal would pass as converged."""
+    A = np.full((n, n), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(NumericalError, match="norm overflows"):
+            jacobi_eigh(A)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 24])
+def test_matches_numpy_near_1e150(n):
+    """Just below the overflow, the norm stays finite and the sweeps converge."""
+    A = random_symmetric(np.random.default_rng(n), n, scale=1e150)
+    assert np.isfinite(np.linalg.norm(A))
+    evals, _ = jacobi_eigh(A)
+    ref = np.sort(np.linalg.eigvalsh(A))[::-1]
+    assert np.abs(evals - ref).max() / np.abs(ref).max() < 1e-12
