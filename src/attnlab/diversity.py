@@ -262,28 +262,31 @@ def magnitude_report(w: WeightSet, config: AttentionConfig) -> MagnitudeReport:
     )
 
 
-def svd_truncate(W: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, float]:
+def svd_truncate(W: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Best rank-r factors of W and the optimal residual error.
 
-    Returns (U, B, err) with U (d, r) absorbing the singular values,
-    B (d_h, r) orthonormal columns, U @ B.T the best rank-r Frobenius
+    W is one d x d_h matrix or a (..., d, d_h) stack of them. Returns
+    (U, B, err) with U (..., d, r) absorbing the singular values,
+    B (..., d_h, r) orthonormal columns, U @ B.T the best rank-r Frobenius
     approximation, and err = sqrt(sum of the discarded singular values
-    squared). Computed from the symmetric eigendecomposition of W^T W.
+    squared): a float for one matrix, a (...,) array for a stack. Computed
+    from the symmetric eigendecomposition of W^T W, one ``jacobi_eigh`` call
+    for the whole stack, so each member gets the bits of its own call.
     """
     W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2:
-        raise DimensionError(f"W must be 2-D, got shape {W.shape}")
-    d, d_h = W.shape
+    if W.ndim < 2:
+        raise DimensionError(f"W must be 2-D or a stack of 2-D matrices, got shape {W.shape}")
+    d, d_h = W.shape[-2:]
     if not (0 <= r <= min(d, d_h)):
         raise ParameterError(
             f"rank {r} outside [0, {min(d, d_h)}] for a {d}x{d_h} matrix"
         )
-    evals, V = jacobi_eigh(W.T @ W)
+    evals, V = jacobi_eigh(W.mT @ W)
     evals = np.clip(evals, 0.0, None)
-    B = V[:, :r]
+    B = V[..., :r]
     U = W @ B
-    err = float(np.sqrt(evals[r:].sum()))
-    return U, B, err
+    err = np.sqrt(evals[..., r:].sum(axis=-1))
+    return U, B, float(err) if W.ndim == 2 else err
 
 
 def factorization_gap(
@@ -298,7 +301,9 @@ def factorization_gap(
     head); ``w`` is a low-rank weight set over the same dims. Per head and
     path, reports the learned approximation error, the truncated-SVD
     optimum for the same shared base, and their ratio (>= 1 up to
-    roundoff).
+    roundoff). The optima of both paths and every head come from one
+    ``svd_truncate`` call on the (2H, d, d_h) stack of targets minus the
+    shared base, K heads first; rows come in that order.
     """
     if config.mechanism is not Mechanism.LRKV:
         raise UnsupportedMechanismError(
@@ -317,26 +322,25 @@ def factorization_gap(
         )
     if r is None:
         r = config.r
+    heads = np.arange(config.H)
+    learned = np.concatenate([stack[gqa_group(heads, config.H, len(stack))]
+                              for stack in effective_kv_weights(w, config)])
+    targets = np.concatenate((reference.wk, reference.wv))
+    D = np.concatenate((reference.wk - w.wk_shared, reference.wv - w.wv_shared))
+    _, _, e_opt = svd_truncate(D, r)
+    e_learned = _frobenius(targets - learned)
+    eps = 1e-12 * np.maximum(1.0, _frobenius(D))
     rows: list[dict] = []
-    paths = zip("kv", (reference.wk, reference.wv), (w.wk_shared, w.wv_shared),
-                effective_kv_weights(w, config))
-    for path, refs, shared, learned_stack in paths:
-        for h in range(config.H):
-            target = refs[h]
-            learned = learned_stack[gqa_group(h, config.H, len(learned_stack))]
-            e_learned = float(np.linalg.norm(target - learned))
-            D = target - shared
-            _, _, e_opt = svd_truncate(D, r)
-            eps = 1e-12 * max(1.0, float(np.linalg.norm(D)))
-            if e_opt < eps:
-                ratio = 1.0 if e_learned < eps else float("inf")
-            else:
-                ratio = e_learned / e_opt
-            rows.append({
-                "head": h,
-                "path": path,
-                "e_learned": e_learned,
-                "e_opt": e_opt,
-                "ratio": ratio,
-            })
+    for i, (learn, opt, tiny) in enumerate(zip(e_learned.tolist(), e_opt.tolist(), eps.tolist())):
+        if opt < tiny:
+            ratio = 1.0 if learn < tiny else float("inf")
+        else:
+            ratio = learn / opt
+        rows.append({
+            "head": i % config.H,
+            "path": "kv"[i // config.H],
+            "e_learned": learn,
+            "e_opt": opt,
+            "ratio": ratio,
+        })
     return rows

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import attnlab
 from attnlab import AttentionConfig, Mechanism, cache_bytes, CostQuery, read_archive
@@ -419,3 +420,66 @@ def test_every_command_repeats_its_bytes_in_one_process(tmp_path):
         "div_similarity.csv", "div_spectrum.csv", "div_cumulative.csv",
         "div_effective_rank.csv", "svd.csv", "grad.csv"])
     assert runs[0] == runs[1]
+
+
+# Each subcommand with the flags it requires (or reads its config from), so
+# that drawn argvs get past the parser into the commands.
+FUZZ_COMMANDS = {
+    "gen-weights": ["--config-json", "--out"], "verify": ["--config-json"],
+    "memory": ["--config-json"], "flops": ["--preset"], "ablate": ["--preset"],
+    "diversity": ["--weights", "--out-prefix"], "svd-compare": ["--weights", "--reference"],
+    "gradcheck": ["--config-json"],
+}
+FUZZ_FLAGS = ["-h", "--help", "--preset", "--config-json", "--mechanism", "--rank",
+              "--set", "--seed", "--dtype", "--out", "--tokens", "--trials", "--batch",
+              "--bytes", "--mla-streams", "--ranks", "--weights", "--out-prefix",
+              "--reference", "--instances"]
+# No preset names and no large token counts: every example runs on the
+# 16-wide shape or stops at an error, in milliseconds.
+FUZZ_VALUES = ["-1", "0", "abc", "", "nan", "1e400", "lrkv", "mha", "f32", "r=0", "d_h=nan"]
+
+
+def test_fuzz_pool_holds_every_subcommand_and_flag():
+    sub = build_parser()._subparsers._group_actions[0]
+    assert sub.choices.keys() == FUZZ_COMMANDS.keys()
+    flags = {flag for p in sub.choices.values() for flag in p._option_string_actions}
+    assert flags == set(FUZZ_FLAGS)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A working directory with a 16-wide config, small archives, a
+    subdirectory and the names of a missing path and /dev/null."""
+    d = tmp_path_factory.mktemp("cli-fuzz")
+    paths = {"null": "/dev/null", "dir": str(d / "subdir"), "missing": str(d / "missing.json")}
+    (d / "subdir").mkdir()
+    for m in ("lrkv", "mha"):
+        paths[m] = str(d / f"{m}.json")
+        (d / f"{m}.json").write_text(json.dumps(dict(SMALL_SHAPE, mechanism=m)))
+        paths[f"{m}.atn"] = str(d / f"{m}.atn")
+        assert run_cli(["gen-weights", "--config-json", paths[m], "--out", paths[f"{m}.atn"]]) == 0
+    return d, sorted(paths.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_argv_ends_in_exit_code_0_1_or_2(fuzz_dir, data):
+    """Malformed argvs end in a usage error (2), a lab error (1) or a run
+    (0), never in a traceback."""
+    d, paths = fuzz_dir
+    value = st.sampled_from(FUZZ_VALUES + paths)
+    token = st.sampled_from(list(FUZZ_COMMANDS) + FUZZ_FLAGS + FUZZ_VALUES + paths)
+    command = data.draw(st.sampled_from([None, *FUZZ_COMMANDS]))
+    argv = [] if command is None else [command]
+    if command is not None and data.draw(st.booleans()):
+        argv += [t for flag in FUZZ_COMMANDS[command] for t in (flag, data.draw(value))]
+    # Mostly flag-value pairs, a stray token now and then.
+    pair = st.tuples(st.sampled_from(FUZZ_FLAGS), value)
+    argv += [t for part in data.draw(st.lists(st.one_of(pair, pair, pair, st.tuples(token)),
+                                               max_size=4)) for t in part]
+    cwd = os.getcwd()
+    os.chdir(d)  # relative --out values land in the fuzz directory
+    try:
+        assert run_cli(argv) in (0, 1, 2), argv
+    finally:
+        os.chdir(cwd)

@@ -22,6 +22,8 @@ from attnlab import (
     svd_truncate,
 )
 from attnlab.diversity import BilinearFormSet, GramMatrix
+from attnlab.presets import config_for
+from attnlab.weights import effective_kv_weights, gqa_group
 
 
 def cfg(mechanism=Mechanism.LRKV, *, d=96, H=4, d_h=24, **kw):
@@ -394,3 +396,59 @@ def test_non_finite_input_is_a_numerical_error(n, bad):
     W[1, n - 1] = bad
     with pytest.raises(NumericalError, match="non-finite"):
         svd_truncate(W, n // 2)
+
+
+@pytest.mark.parametrize("batch", [(3,), (2, 2)], ids=str)
+@pytest.mark.parametrize("d,d_h", [(20, 8), (16, 16), (9, 12)])
+def test_stacked_svd_truncate_equals_per_matrix_calls(d, d_h, batch):
+    W = np.random.default_rng(d * d_h).standard_normal((*batch, d, d_h))
+    for r in (0, 1, min(d, d_h) // 2, min(d, d_h)):
+        U, B, err = svd_truncate(W, r)
+        assert U.shape == (*batch, d, r) and B.shape == (*batch, d_h, r)
+        assert err.shape == batch
+        for i in np.ndindex(batch):
+            u, b, e = svd_truncate(W[i], r)
+            assert isinstance(e, float)
+            assert U[i].tobytes() == u.tobytes() and B[i].tobytes() == b.tobytes(), (r, i)
+            assert err[i] == e, (r, i)
+
+
+def per_head_factorization_gap(w, config, reference, r):
+    """factorization_gap as one svd_truncate call per head and path: the
+    reference for the stacked call."""
+    rows = []
+    paths = zip("kv", (reference.wk, reference.wv), (w.wk_shared, w.wv_shared),
+                effective_kv_weights(w, config))
+    for path, refs, shared, learned_stack in paths:
+        for h in range(config.H):
+            target = refs[h]
+            learned = learned_stack[gqa_group(h, config.H, len(learned_stack))]
+            e_learned = float(np.linalg.norm(target - learned))
+            D = target - shared
+            _, _, e_opt = svd_truncate(D, r)
+            eps = 1e-12 * max(1.0, float(np.linalg.norm(D)))
+            if e_opt < eps:
+                ratio = 1.0 if e_learned < eps else float("inf")
+            else:
+                ratio = e_learned / e_opt
+            rows.append({"head": h, "path": path, "e_learned": e_learned,
+                         "e_opt": e_opt, "ratio": ratio})
+    return rows
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("r", [0, 4])
+def test_factorization_gap_equals_the_per_head_loop(r, dtype):
+    config = cfg(d=32, H=2, d_h=16, r=4)
+    w = init_weights(config, RngSpec(seed=21)).astype(dtype)
+    ref = init_weights(cfg(Mechanism.MHA, d=32, H=2, d_h=16), RngSpec(seed=22)).astype(dtype)
+    assert factorization_gap(w, config, ref, r=r) == per_head_factorization_gap(w, config, ref, r)
+
+
+def test_factorization_gap_equals_the_per_head_loop_at_128m():
+    config = config_for("128M", "lrkv")
+    w = init_weights(config, RngSpec(seed=23))
+    ref = init_weights(config_for("128M", "mha"), RngSpec(seed=24))
+    rows = factorization_gap(w, config, ref)
+    assert len(rows) == 2 * config.H
+    assert rows == per_head_factorization_gap(w, config, ref, config.r)

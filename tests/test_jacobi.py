@@ -185,3 +185,117 @@ def test_matches_numpy_near_1e150(n):
     evals, _ = jacobi_eigh(A)
     ref = np.sort(np.linalg.eigvalsh(A))[::-1]
     assert np.abs(evals - ref).max() / np.abs(ref).max() < 1e-12
+
+
+# --------------------------------------------------------- stacked solves
+
+
+def random_stack(seed, batch, n):
+    M = np.random.default_rng(seed).standard_normal((*batch, n, n))
+    return (M + M.mT) / 2.0
+
+
+def assert_stack_equals_solo_calls(A, **kw):
+    """Every member of a stacked call carries the bytes of its own call."""
+    evals, V = jacobi_eigh(A, **kw)
+    batch, n = A.shape[:-2], A.shape[-1]
+    assert evals.shape == (*batch, n) and V.shape == (*batch, n, n)
+    for i in np.ndindex(batch):
+        solo_evals, solo_V = jacobi_eigh(A[i], **kw)
+        assert evals[i].tobytes() == solo_evals.tobytes(), i
+        assert V[i].tobytes() == solo_V.tobytes(), i
+
+
+@pytest.mark.parametrize("batch", [(0,), (1,), (4,), (2, 3)], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 24, 33])
+def test_stack_equals_per_matrix_solves(n, batch):
+    assert_stack_equals_solo_calls(random_stack(n, batch, n))
+
+
+def test_one_matrix_is_a_stack_of_one():
+    A = random_stack(7, (), 9)
+    evals, V = jacobi_eigh(A)
+    stacked_evals, stacked_V = jacobi_eigh(A[None])
+    assert evals.shape == (9,) and V.shape == (9, 9) and V.flags.c_contiguous
+    assert stacked_evals[0].tobytes() == evals.tobytes()
+    assert stacked_V[0].tobytes() == V.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_stack_of_trivial_matrices(n):
+    A = np.arange(6.0).reshape(2, 3, 1, 1)[..., :n, :n]
+    evals, V = jacobi_eigh(A)
+    assert evals.shape == (2, 3, n) and V.shape == (2, 3, n, n)
+    assert np.array_equal(evals, A.reshape(2, 3, n))
+    assert np.array_equal(V, np.broadcast_to(np.eye(n), V.shape))
+
+
+@pytest.mark.parametrize("n", [6, 24])
+def test_members_that_converge_in_different_sweeps(n):
+    """A diagonal member is converged before its first sweep, a zero member
+    returns (0, I), a 1e0..1e-12 spectrum and random members take more
+    sweeps: members leave the stack at different times, and each still
+    carries the bytes of its own call."""
+    rng = np.random.default_rng(n)
+    Qm, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    graded = Qm @ np.diag(np.logspace(0, -12, n)) @ Qm.T
+    A = np.stack([
+        random_stack(1, (), n),
+        np.diag(rng.standard_normal(n)),
+        np.zeros((n, n)),
+        (graded + graded.T) / 2.0,
+        random_stack(2, (), n) * 1e-6,
+    ])
+    assert_stack_equals_solo_calls(A)
+    # The diagonal and zero members need no sweep; the others do.
+    for i, needs_a_sweep in enumerate([True, False, False, True, True]):
+        if needs_a_sweep:
+            with pytest.raises(NumericalError):
+                jacobi_eigh(A[i], max_sweeps=1)
+        else:
+            jacobi_eigh(A[i], max_sweeps=0)
+    evals, V = jacobi_eigh(A)
+    assert np.array_equal(evals[2], np.zeros(n)) and np.array_equal(V[2], np.eye(n))
+
+
+def test_stacked_errors_name_the_member():
+    A = np.stack([np.eye(3)] * 4)
+    A[2, 0, 1] = 1.0  # asymmetric
+    with pytest.raises(DimensionError, match=r"matrix 2 is not symmetric"):
+        jacobi_eigh(A)
+    B = np.stack([np.eye(3)] * 6).reshape(2, 3, 3, 3)
+    B[1, 2, 0, 0] = np.nan
+    with pytest.raises(NumericalError, match=r"matrix \(1, 2\) has non-finite"):
+        jacobi_eigh(B)
+    C = np.stack([np.eye(4), np.eye(4), random_stack(3, (), 4), random_stack(4, (), 4)])
+    with pytest.raises(NumericalError, match=r"did not converge in 0 sweeps \(matrix 2:"):
+        jacobi_eigh(C, max_sweeps=0)
+    D = np.stack([np.eye(3), np.full((3, 3), 1e200)])
+    with pytest.raises(NumericalError, match=r"matrix 1 norm overflows"):
+        jacobi_eigh(D)
+
+
+def test_rejects_non_square_stacks():
+    with pytest.raises(DimensionError):
+        jacobi_eigh(np.zeros((2, 3, 4)))
+    with pytest.raises(DimensionError):
+        jacobi_eigh(np.zeros(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_overflowing_symmetrization_is_rejected_without_a_warning(n):
+    """(A + A.T) / 2 of entries near the float64 maximum overflows to inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(NumericalError, match="overflows float64"):
+            jacobi_eigh(np.full((n, n), 1e308))
+        stack = np.stack([np.eye(n), np.full((n, n), 1e308), np.eye(n)])
+        with pytest.raises(NumericalError, match="matrix 1 overflows float64"):
+            jacobi_eigh(stack)
+
+
+def test_large_finite_1x1_keeps_its_bits():
+    """A 1x1 has no norm to overflow, and a finite symmetrization is exact."""
+    for x in (8e307, -1e200, 1e-300):
+        evals, V = jacobi_eigh(np.array([[x]]))
+        assert evals.tobytes() == np.array([x]).tobytes() and V[0, 0] == 1.0

@@ -43,3 +43,78 @@ def test_decode_equivalence_sweep_samples_only_valid_configs():
         for _ in range(200):  # builds, or raises ConfigurationError
             config = sweep.sample_config(rng, mechanism)
             assert config.mechanism is mechanism
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_seeds_and_quartiles():
+    pairs = load_script("bench_pairs")
+    assert pairs.parse_seeds("2001-2003,7,9-10") == [2001, 2002, 2003, 7, 9, 10]
+    assert pairs.quartiles([4.0, 1.0, 3.0, 2.0]) == {"q1": 1.75, "median": 2.5, "q3": 3.25}
+
+
+def test_bench_pairs_wins_respect_direction_and_ties():
+    pairs = load_script("bench_pairs")
+    parent, change = [1.0, 2.0, 3.0, 4.0], [0.5, 2.0, 3.5, 1.0]
+    assert pairs.wins(parent, change, "lower") == (2, 1)
+    assert pairs.wins(parent, change, "higher") == (1, 2)
+
+
+def test_bench_pairs_metric_summary():
+    pairs = load_script("bench_pairs")
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0]
+    faster = [5.0, 5.5, 6.0, 6.5, 7.0]
+    s = pairs.summarize_metric(parent, faster, "lower", 0.25)
+    assert s["parent"] == {"q1": 11.0, "median": 12.0, "q3": 13.0}
+    assert s["change"]["median"] == 6.0 and s["ratio_change_over_parent"] == 0.5
+    assert (s["pairs_won_by_change"], s["pairs_lost_by_change"]) == (5, 0)
+    assert s["median_diff_exceeds_parent_iqr"] and not s["worse_than_bound"]
+    assert s["parent_runs"] == parent and s["change_runs"] == faster
+    # The same samples read as a throughput: half the parent's, past its bound.
+    t = pairs.summarize_metric(parent, faster, "higher", 0.25)
+    assert t["worse_than_bound"] and t["pairs_lost_by_change"] == 5
+    # Within noise: medians apart by less than the parent's IQR.
+    n = pairs.summarize_metric(parent, [12.5, 11.0, 13.5, 12.0, 14.0], "lower", 0.25)
+    assert not n["median_diff_exceeds_parent_iqr"] and not n["worse_than_bound"]
+    assert "worse_than_bound" not in pairs.summarize_metric(parent, parent, "lower", None)
+
+
+def test_bench_pairs_claim_needs_wins_ratio_and_spread():
+    pairs = load_script("bench_pairs")
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]
+    change = [x * 0.5 for x in parent]
+    met = pairs.judge_claim(parent, change, "lower", 0.6)
+    assert met["met"] and met["pairs_won"] == "10/10" and met["ratio_change_over_parent"] == 0.5
+    assert not pairs.judge_claim(parent, change, "lower", 0.4)["met"]  # not far enough
+    one_loss = change[:9] + [parent[9] + 1.0]  # 9/10 still wins
+    assert pairs.judge_claim(parent, one_loss, "lower", 0.6)["met"]
+    two_losses = change[:8] + [parent[8] + 1.0, parent[9] + 1.0]
+    assert pairs.judge_claim(parent, two_losses, "lower", 0.6)["pairs_won"] == "8/10"
+    assert not pairs.judge_claim(parent, two_losses, "lower", 0.6)["met"]
+    assert pairs.judge_claim(change, parent, "higher", 0.6)["met"]  # a throughput doubled
+
+
+def test_bench_pairs_workload_block():
+    pairs = load_script("bench_pairs")
+    spec = {"end_to_end": [{"name": "a_s", "unit": "s", "better": "lower", "bound": 0.25},
+                           {"name": "b_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}
+
+    def run(a, b, failed=0):
+        return {"exit_code": 1 if failed else 0, "correct": not failed, "attempted": 10,
+                "failed": failed, "metrics": {"a_s": a, "b_per_s": b}}
+
+    runs = {"parent": [run(2.0, 1.0), run(2.2, 1.1), run(2.4, 1.2)],
+            "change": [run(1.0, 1.0), run(1.1, 1.2, failed=1), run(1.2, 1.3)]}
+    block = pairs.summarize_workload(spec, runs, [5, 6, 7919], ["parent", "change", "parent"])
+    assert block["runs"] == {
+        "seeds": [5, 6, 7919], "pairs": 3, "first_in_pair": ["parent", "change", "parent"],
+        "all_correct": False, "failed": {"parent": 0, "change": 1},
+        "attempted": {"parent": 30, "change": 30}, "exit_codes": [0, 1]}
+    a, b = block["metrics"]["a_s"], block["metrics"]["b_per_s"]
+    assert a["unit"] == "s" and a["bound"] == 0.25 and a["change_runs"] == [1.0, 1.1, 1.2]
+    assert a["pairs_won_by_change"] == 3 and b["pairs_won_by_change"] == 2
