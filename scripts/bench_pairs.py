@@ -3,19 +3,20 @@
     python3 scripts/bench_pairs.py PARENT CHANGE --scratch DIR --out BENCH_10.json \
         --seeds 2001-2010 --claim long-generation:svd_compare_s:0.6 --what "..."
 
-Each revision is exported with ``git archive`` into DIR/parent and
-DIR/change: fresh trees at paths of equal length, because the checkout path
-alone has been seen to move gemv speed by 25%. For every workload
-of BENCHMARK.json, pair i runs ``bench/run.py --trace 0`` once on each side
-with seed i, the parent first in even pairs and the change first in odd
-ones; the last pair uses the held-out seed 7919. Every end-to-end metric is
-summarized per workload: both sides' quartiles and medians, the ratio of
-the medians, the pairs each side won, and whether the medians differ by
-more than the parent's interquartile range. ``--claim`` states the gain the
-change claims beforehand; it is judged on the design seeds alone, and the
-held-out pair is reported beside it. ``--trace-workload`` adds one
-``--trace 1`` run per side, whose per-layer metrics are recorded as they
-come. The benchmark itself is never imported: only its output is read.
+Each revision of this repository is exported with ``git archive`` into
+DIR/parent and DIR/change: fresh trees at paths of equal length, because the
+checkout path alone has been seen to move gemv speed by 25%. For every
+workload of BENCHMARK.json, pair i runs ``bench/run.py --trace 0`` once on
+each side with seed i, for the benchmark's run_seconds, the parent first in
+even pairs and the change first in odd ones; the last pair uses the held-out
+seed 7919. Every end-to-end metric is summarized per workload: both sides'
+quartiles and medians, the ratio of the medians, the pairs each side won,
+and whether the medians differ by more than the parent's interquartile
+range. ``--claim`` states the gain the change claims beforehand; it is
+judged on the design seeds alone, and the held-out pair is reported beside
+it. ``--trace-workload`` adds one ``--trace 1`` run per side, with seed
+1031, whose per-layer metrics are recorded as they come. The benchmark
+itself is never imported: only its output is read.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from pathlib import Path
 import numpy as np
 
 HELD_OUT_SEED = 7919
+TRACE_SEED = 1031
+REPO = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")  # equal lengths: the trees sit at equal-length paths
 
 
@@ -78,16 +81,16 @@ def judge_claim(parent, change, better: str, max_ratio: float) -> dict:
     them, the change's median at most max_ratio of the parent's (at least
     1 / max_ratio of it for a higher-is-better metric), and the medians
     apart by more than the parent's interquartile range."""
-    p, c = quartiles(parent), quartiles(change)
-    won, _ = wins(parent, change, better)
-    ratio = c["median"] / p["median"]
+    s = summarize_metric(parent, change, better, None)
+    won, ratio = s["pairs_won_by_change"], s["ratio_change_over_parent"]
     far_enough = ratio <= max_ratio if better == "lower" else ratio >= 1 / max_ratio
-    iqr = p["q3"] - p["q1"]
     return {
         "pairs_won": f"{won}/{len(parent)}",
-        "median_parent": p["median"], "median_change": c["median"],
-        "ratio_change_over_parent": ratio, "parent_iqr": iqr,
-        "met": bool(won >= 0.9 * len(parent) and far_enough and abs(c["median"] - p["median"]) > iqr),
+        "median_parent": s["parent"]["median"], "median_change": s["change"]["median"],
+        "ratio_change_over_parent": ratio,
+        "parent_iqr": s["parent"]["q3"] - s["parent"]["q1"],
+        "met": bool(won >= 0.9 * len(parent) and far_enough
+                    and s["median_diff_exceeds_parent_iqr"]),
     }
 
 
@@ -114,12 +117,12 @@ def summarize_workload(spec: dict, runs: dict[str, list[dict]], seeds: list[int]
     }
 
 
-def export(repo: Path, rev: str, dest: Path) -> str:
-    """Write revision rev of repo into dest (which must not exist yet);
-    return its full hash."""
-    full = subprocess.run(["git", "-C", str(repo), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+def export(rev: str, dest: Path) -> str:
+    """Write revision rev of this repository into dest (which must not exist
+    yet); return its full hash."""
+    full = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--verify", f"{rev}^{{commit}}"],
                           check=True, capture_output=True, text=True).stdout.strip()
-    tar = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", full],
+    tar = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", full],
                          check=True, capture_output=True).stdout
     dest.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(tar)) as t:
@@ -149,27 +152,23 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="git revision of the parent")
     ap.add_argument("change", help="git revision of the change")
-    ap.add_argument("--repo", type=Path, default=Path(__file__).resolve().parents[1])
     ap.add_argument("--scratch", type=Path, required=True,
                     help="empty directory for the two trees")
     ap.add_argument("--out", type=Path, required=True, help="the BENCH_<k>.json to write")
     ap.add_argument("--seeds", type=parse_seeds, default=parse_seeds("2001-2010"),
                     help="design seeds, one pair each (default 2001-2010)")
-    ap.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
-    ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC:MAX_RATIO",
                     help="the gain claimed beforehand, e.g. long-generation:svd_compare_s:0.6")
     ap.add_argument("--trace-workload", help="also run --trace 1 once per side on this workload")
-    ap.add_argument("--trace-seed", type=int, default=1031)
     ap.add_argument("--what", default="", help="one line on what the change does")
     args = ap.parse_args(argv)
 
     trees = {side: args.scratch / side for side in SIDES}
-    revisions = {side: export(args.repo, rev, trees[side])
+    revisions = {side: export(rev, trees[side])
                  for side, rev in zip(SIDES, (args.parent, args.change))}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     seeds = args.seeds + [HELD_OUT_SEED]
     first = [SIDES[i % 2] for i in range(len(seeds))]
 
@@ -216,9 +215,9 @@ def main(argv=None) -> int:
     out["workloads"] = blocks
     if args.trace_workload:
         out["trace"] = {"note": f"one --trace 1 run per side, {args.trace_workload} seed "
-                                f"{args.trace_seed}; per-layer metrics of BENCHMARK.json (no bounds)"}
+                                f"{TRACE_SEED}; per-layer metrics of BENCHMARK.json (no bounds)"}
         for side in SIDES:
-            r = run_bench(trees[side], args.trace_workload, args.trace_seed, seconds, 1)
+            r = run_bench(trees[side], args.trace_workload, TRACE_SEED, seconds, 1)
             out["trace"][side] = {k: r[k] for k in ("exit_code", "correct", "metrics")}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0

@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError, NumericalError, ParameterError
 
 REL_TOL = 1e-12
 MAX_SWEEPS = 60
@@ -204,8 +204,11 @@ def jacobi_eigh(
     infinite entry raises NumericalError, ahead of the symmetry check, and so
     do a symmetrized entry that overflows (entries near the float64 maximum)
     and a Frobenius norm that overflows (entries near 1e154 and up). On a
-    stack, each error names the first member at fault.
+    stack, each error names the first member at fault. A negative max_sweeps
+    raises ParameterError; max_sweeps=0 only tests convergence.
     """
+    if max_sweeps < 0:
+        raise ParameterError(f"max_sweeps must be >= 0, got {max_sweeps}")
     A = np.asarray(A, dtype=np.float64)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {A.shape}")

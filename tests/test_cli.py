@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -446,10 +447,22 @@ def test_fuzz_pool_holds_every_subcommand_and_flag():
     assert flags == set(FUZZ_FLAGS)
 
 
+# Output flags write where they point (diversity writes four
+# <prefix>_*.csv), so they only ever get names relative to the example's
+# own fresh working directory: never a fixture path, the missing path or
+# /dev/null. In diversity --out is an abbreviation of --out-prefix.
+FUZZ_OUTPUT_FLAGS = ("--out", "--out-prefix")
+FUZZ_OUTPUT_VALUES = FUZZ_VALUES + ["out.atn", "."]
+
+
+def fuzz_snapshot(d):
+    return {p.relative_to(d): p.read_bytes() if p.is_file() else None for p in d.rglob("*")}
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
-    """A working directory with a 16-wide config, small archives, a
-    subdirectory and the names of a missing path and /dev/null."""
+    """Read-only inputs: a 16-wide config and a small archive per mechanism,
+    a subdirectory, and the names of a missing path and /dev/null."""
     d = tmp_path_factory.mktemp("cli-fuzz")
     paths = {"null": "/dev/null", "dir": str(d / "subdir"), "missing": str(d / "missing.json")}
     (d / "subdir").mkdir()
@@ -458,28 +471,36 @@ def fuzz_dir(tmp_path_factory):
         (d / f"{m}.json").write_text(json.dumps(dict(SMALL_SHAPE, mechanism=m)))
         paths[f"{m}.atn"] = str(d / f"{m}.atn")
         assert run_cli(["gen-weights", "--config-json", paths[m], "--out", paths[f"{m}.atn"]]) == 0
-    return d, sorted(paths.values())
+    return d, sorted(paths.values()), fuzz_snapshot(d)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_any_argv_ends_in_exit_code_0_1_or_2(fuzz_dir, data):
     """Malformed argvs end in a usage error (2), a lab error (1) or a run
-    (0), never in a traceback."""
-    d, paths = fuzz_dir
-    value = st.sampled_from(FUZZ_VALUES + paths)
-    token = st.sampled_from(list(FUZZ_COMMANDS) + FUZZ_FLAGS + FUZZ_VALUES + paths)
+    (0), never in a traceback, and leave the inputs as they were."""
+    d, paths, inputs = fuzz_dir
+
+    def value(flag):
+        return st.sampled_from(FUZZ_OUTPUT_VALUES if flag in FUZZ_OUTPUT_FLAGS
+                               else FUZZ_VALUES + paths)
+
+    pair = st.sampled_from(FUZZ_FLAGS).flatmap(lambda f: st.tuples(st.just(f), value(f)))
+    # A stray output flag takes the next token as its value, so stray
+    # tokens hold no paths.
+    token = st.sampled_from(list(FUZZ_COMMANDS) + FUZZ_FLAGS + FUZZ_VALUES)
     command = data.draw(st.sampled_from([None, *FUZZ_COMMANDS]))
     argv = [] if command is None else [command]
     if command is not None and data.draw(st.booleans()):
-        argv += [t for flag in FUZZ_COMMANDS[command] for t in (flag, data.draw(value))]
+        argv += [t for flag in FUZZ_COMMANDS[command] for t in (flag, data.draw(value(flag)))]
     # Mostly flag-value pairs, a stray token now and then.
-    pair = st.tuples(st.sampled_from(FUZZ_FLAGS), value)
     argv += [t for part in data.draw(st.lists(st.one_of(pair, pair, pair, st.tuples(token)),
                                                max_size=4)) for t in part]
     cwd = os.getcwd()
-    os.chdir(d)  # relative --out values land in the fuzz directory
-    try:
-        assert run_cli(argv) in (0, 1, 2), argv
-    finally:
-        os.chdir(cwd)
+    with tempfile.TemporaryDirectory(dir=d) as work:
+        os.chdir(work)  # relative output names land in a fresh directory
+        try:
+            assert run_cli(argv) in (0, 1, 2), argv
+        finally:
+            os.chdir(cwd)
+    assert fuzz_snapshot(d) == inputs, argv

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attnlab import DimensionError, NumericalError
+from attnlab import DimensionError, NumericalError, ParameterError
 from attnlab.jacobi import MAX_SWEEPS, jacobi_eigh, off_diagonal_norm, round_robin
 
 
@@ -273,6 +273,12 @@ def test_stacked_errors_name_the_member():
     D = np.stack([np.eye(3), np.full((3, 3), 1e200)])
     with pytest.raises(NumericalError, match=r"matrix 1 norm overflows"):
         jacobi_eigh(D)
+
+
+def test_negative_max_sweeps_is_rejected():
+    for A in (np.eye(1), np.eye(3), np.stack([np.eye(3)] * 2)):
+        with pytest.raises(ParameterError, match="max_sweeps"):
+            jacobi_eigh(A, max_sweeps=-1)
 
 
 def test_rejects_non_square_stacks():
