@@ -32,7 +32,6 @@ from .costs import (
     decode_flops,
     decode_flops_breakdown,
     kv_param_count,
-    measured_cache_bytes,
 )
 from .diversity import (
     BilinearFormSet,
@@ -82,7 +81,7 @@ __all__ = [
     "equivalence_report", "set_alloc_hook",
     "MIB", "CostQuery", "CostReport", "cache_bytes", "cache_ratio",
     "kv_param_count", "decode_flops", "decode_flops_breakdown",
-    "measured_cache_bytes", "ablation_table", "cost_report",
+    "ablation_table", "cost_report",
     "BilinearFormSet", "GramMatrix", "SpectrumReport", "MagnitudeReport",
     "bilinear_forms", "gram", "center_gram", "spectrum",
     "diversity_report", "magnitude_report", "svd_truncate",

@@ -25,7 +25,6 @@ import json
 import math
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
@@ -73,7 +72,7 @@ def write_archive(weights: WeightSet, path) -> None:
         "tensors": manifest,
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    with open(Path(path), "wb") as f:
+    with open(path, "wb") as f:  # as given: Path('') would name '.'
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
         f.write(blob)
@@ -81,7 +80,8 @@ def write_archive(weights: WeightSet, path) -> None:
 
 def read_archive(path) -> WeightSet:
     """Load a WeightSet; validates structure and checksum before decoding."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     if len(data) < 8:
         raise ArchiveError("truncated archive: missing header length")
     (header_len,) = struct.unpack("<Q", data[:8])

@@ -21,15 +21,14 @@ and echoed in CLI output:
 
 The number of latent streams the latent mechanism caches (one shared or
 separate K and V streams) is an accounting knob; two streams is the
-default. A DecodeCache always holds the single shared stream, so measured
-bytes match single-stream queries.
+default. A DecodeCache always holds the single shared stream, so its
+``payload_nbytes`` matches single-stream queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cache import DecodeCache
 from .config import AttentionConfig, Mechanism
 from .errors import ConfigurationError, UnsupportedMechanismError
 from .weights import kv_heads, residual_rank
@@ -178,22 +177,6 @@ def decode_flops(q: CostQuery, mla_path: str = "reconstruct") -> tuple[int, floa
     mha_scan = q.config.H * 2 * FLOPS_PER_MULTIPLY_ADD * q.T * q.config.d_h
     attn_only = parts["scan"] + parts["reconstruct"] + parts["lift"]
     return total, (attn_only - mha_scan) / mha_scan
-
-
-def measured_cache_bytes(cache: DecodeCache, bytes_per_element: int) -> int:
-    """Bytes the cache's payload would occupy at the given element width.
-
-    Counts elements at full capacity (dense preallocation), so it equals
-    ``cache_bytes`` for the single-layer, batch-1 query with T = capacity —
-    for the latent mechanism, the single-stream query, since a DecodeCache
-    holds one shared latent stream.
-    """
-    if bytes_per_element not in VALID_BYTES_PER_ELEMENT:
-        raise ConfigurationError(
-            f"bytes_per_element must be one of {VALID_BYTES_PER_ELEMENT}, "
-            f"got {bytes_per_element}"
-        )
-    return cache.payload_elements() * bytes_per_element
 
 
 def ablation_table(

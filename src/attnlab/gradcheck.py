@@ -6,8 +6,11 @@ The loss probed here is the generic linear functional
 
 with fixed random cotangents G_h — exactly the contraction any downstream
 gradient flows through, so agreement on it validates projection_backward
-for arbitrary upstream gradients. The shared base receives the sum of all
-heads' contributions, which is checked as a whole.
+for arbitrary upstream gradients. Heads are handled as stacks: the loss is
+one (H, T, d_h) product, the cotangents one (H, T, d_h) draw and the
+analytic gradients one projection_backward call. The shared base receives
+the sum of all heads' contributions, which is checked as a whole; each
+head's U_h and B_h is checked on its own row.
 
 Small tensors are checked entry by entry with central differences; tensors
 above ``MAX_ELEMENTS`` fall back to directional derivatives along random
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import AttentionConfig, Mechanism, RngSpec
-from .errors import UnsupportedMechanismError
+from .errors import ConfigurationError, UnsupportedMechanismError
 from .weights import init_weights, projection_backward
 
 _MASK64 = (1 << 64) - 1
@@ -33,11 +36,10 @@ N_DIRECTIONS = 8
 
 
 def _loss(X, cotangents, shared, us, bs):
-    total = 0.0
-    for h in range(len(cotangents)):
-        K = X @ (shared + us[h] @ bs[h].T)
-        total += float(np.sum(cotangents[h] * K))
-    return total
+    K = X @ (shared + us @ bs.transpose(0, 2, 1))  # (H, T, d_h)
+    # Heads are summed in order (cumsum is sequential; np.sum and the builtin
+    # sum need not be), which keeps the bits of a per-head ``+=`` loop.
+    return float(np.cumsum(np.sum(cotangents * K, axis=(1, 2)))[-1])
 
 
 def _fd_elementwise(loss_at, param):
@@ -90,6 +92,8 @@ def gradcheck_rows(
         raise UnsupportedMechanismError(
             f"gradcheck probes the factorized projection; got {config.mechanism.value}"
         )
+    if instances < 1:
+        raise ConfigurationError(f"instances must be >= 1, got {instances}")
     rows: list[dict] = []
     for instance in range(instances):
         inst_seed = (seed.seed + instance) & _MASK64
@@ -99,26 +103,17 @@ def gradcheck_rows(
         for path in ("k", "v"):
             factors = ("wk_shared", "uk", "bk") if path == "k" else ("wv_shared", "uv", "bv")
             shared, us, bs = (getattr(w, name).copy() for name in factors)
-            cotangents = [
-                gen.standard_normal((DEFAULT_T, config.d_h)) for _ in range(config.H)
-            ]
-
-            analytic_shared = np.zeros_like(shared)
-            analytic_us = []
-            analytic_bs = []
-            for h in range(config.H):
-                g = projection_backward(w, config, X, cotangents[h], h, path=path)
-                analytic_shared += g.dWshared
-                analytic_us.append(g.dU)
-                analytic_bs.append(g.dB)
+            cotangents = gen.standard_normal((config.H, DEFAULT_T, config.d_h))
+            g = projection_backward(w, config, X, cotangents, path=path)
 
             def loss_at():
                 return _loss(X, cotangents, shared, us, bs)
 
-            targets = [("w_shared", shared, analytic_shared)]
-            for h in range(config.H):
-                targets.append((f"u.{h}", us[h], analytic_us[h]))
-                targets.append((f"b.{h}", bs[h], analytic_bs[h]))
+            # This order fixes _directional_error's draws: w_shared, u.0, b.0, u.1, ...
+            targets = [("w_shared", shared, g.dWshared)] + [
+                target for h, (u, du, b, db) in enumerate(zip(us, g.dU, bs, g.dB))
+                for target in ((f"u.{h}", u, du), (f"b.{h}", b, db))
+            ]
             for name, param, analytic in targets:
                 if param.size == 0:
                     continue

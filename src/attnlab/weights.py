@@ -176,11 +176,11 @@ class WeightSet:
 
 @dataclass(frozen=True)
 class ProjectionGrad:
-    """Analytic gradient of the LRKV factorized projection (one path)."""
+    """Analytic gradient of the LRKV factorized projection (one path, every head)."""
 
-    dWshared: np.ndarray  # (d, d_h) — this head's contribution
-    dU: np.ndarray        # (d, r)
-    dB: np.ndarray        # (d_h, r)
+    dWshared: np.ndarray  # (d, d_h) — summed over heads: the shared base's total
+    dU: np.ndarray        # (H, d, r)
+    dB: np.ndarray        # (H, d_h, r)
 
 
 def init_weights(config: AttentionConfig, rng: RngSpec) -> WeightSet:
@@ -257,42 +257,42 @@ def projection_backward(
     config: AttentionConfig,
     X: np.ndarray,
     dK: np.ndarray,
-    head: int,
     path: str = "k",
 ) -> ProjectionGrad:
-    """Gradients of K_head = X @ (W_shared + U B^T) w.r.t. the three factors.
+    """Gradients of every head's K_h = X @ (W_shared + U_h B_h^T) w.r.t. the
+    factors, given the (H, T, d_h) stack of cotangents dK_h:
 
-        dWshared = X^T dK
-        dU       = X^T dK B
-        dB       = dK^T X U
+        dWshared = sum_h X^T dK_h
+        dU_h     = X^T dK_h B_h
+        dB_h     = dK_h^T X U_h
 
     The shared and residual paths see the same upstream gradient because the
-    parameterization is additive; dWshared here is this head's contribution,
-    and the total shared gradient is the sum over heads. ``path`` selects the
-    K or V factor pair (the structure is identical).
+    parameterization is additive, and the shared base receives every head's
+    contribution; the head sum runs in head order, as a ``+=`` loop would.
+    ``path`` selects the K or V factor stacks (the structure is identical).
     """
     if config.mechanism is not Mechanism.LRKV:
         raise UnsupportedMechanismError(
             f"projection_backward is defined for lrkv only, got {config.mechanism.value}"
         )
     if path == "k":
-        U, B = w.uk[head], w.bk[head]
+        U, B = w.uk, w.bk
     elif path == "v":
-        U, B = w.uv[head], w.bv[head]
+        U, B = w.uv, w.bv
     else:
         raise DimensionError(f"path must be 'k' or 'v', got {path!r}")
     X = np.asarray(X)
     dK = np.asarray(dK)
-    if X.ndim != 2 or dK.ndim != 2:
-        raise DimensionError("X and dK must be 2-D")
+    if X.ndim != 2:
+        raise DimensionError(f"X must be 2-D (T, d), got shape {X.shape}")
     T, d = X.shape
     if d != config.d:
         raise DimensionError(f"X has width {d}, config.d={config.d}")
-    if dK.shape != (T, config.d_h):
+    if dK.shape != (config.H, T, config.d_h):
         raise DimensionError(
-            f"dK shape {dK.shape} does not match (T={T}, d_h={config.d_h})"
+            f"dK shape {dK.shape} does not match (H={config.H}, T={T}, d_h={config.d_h})"
         )
-    dWshared = X.T @ dK
+    dWshared = np.add.reduce(X.T @ dK, axis=0)
     dU = X.T @ (dK @ B)
-    dB = dK.T @ (X @ U)
+    dB = dK.transpose(0, 2, 1) @ (X @ U)
     return ProjectionGrad(dWshared=dWshared, dU=dU, dB=dB)

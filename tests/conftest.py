@@ -33,6 +33,25 @@ def per_head_kv():
     return _per_head_kv
 
 
+def _per_head_projection_grad(w, config, X, dK, path):
+    """LRKV projection gradients by the per-head formulas, one head at a time,
+    with the shared base's total summed by a ``+=`` loop in head order: the
+    reference for the stacked ``projection_backward``."""
+    U, B = (w.uk, w.bk) if path == "k" else (w.uv, w.bv)
+    dWshared = np.zeros((config.d, config.d_h))
+    dU, dB = [], []
+    for h in range(config.H):
+        dWshared += X.T @ dK[h]
+        dU.append(X.T @ (dK[h] @ B[h]))
+        dB.append(dK[h].T @ (X @ U[h]))
+    return dWshared, np.stack(dU), np.stack(dB)
+
+
+@pytest.fixture
+def per_head_projection_grad():
+    return _per_head_projection_grad
+
+
 def _flops_per_element(tag, config, t, path):
     """Multiply+add count behind one element of a noted transient."""
     c = config

@@ -386,3 +386,26 @@ def test_cli_reports_malformed_archive_with_exit_1(tmp_path, capsys):
     code = run_cli(["diversity", "--weights", str(p), "--out-prefix", str(tmp_path / "d")])
     assert code == 1
     assert "manifest entry" in capsys.readouterr().err
+
+
+def test_empty_path_is_named_as_given(tmp_path, capsys, monkeypatch):
+    """'' is opened as given in both directions, not as Path('') == '.'."""
+    from attnlab.cli import run_cli
+
+    monkeypatch.chdir(tmp_path)  # '.' is a directory here, '' names nothing
+    w = init_weights(cfg(Mechanism.LRKV, r=3), RngSpec(seed=14))
+    with pytest.raises(FileNotFoundError) as info:
+        write_archive(w, "")
+    assert info.value.filename == ""
+    with pytest.raises(FileNotFoundError) as info:
+        read_archive("")
+    assert info.value.filename == ""
+    write_archive(w, "w.bin")
+    for argv in (["gen-weights", "--mechanism", "lrkv", "--preset", "128M",
+                  "--set", "n_layers=1", "--out", ""],
+                 ["diversity", "--weights", "", "--out-prefix", "d"],
+                 ["svd-compare", "--weights", "", "--reference", "w.bin", "--out", "-"]):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "''" in err and "Is a directory" not in err, (argv, err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.bin"]

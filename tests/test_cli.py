@@ -248,6 +248,16 @@ def test_gradcheck_command(tmp_path):
     assert all(float(r["rel_err"]) <= 1e-4 for r in rows)
 
 
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_gradcheck_without_instances_is_a_usage_error(tmp_path, capsys, instances):
+    small = AttentionConfig(mechanism=Mechanism.LRKV, d=24, H=2, d_h=12, r=3)
+    out = tmp_path / "grad.csv"
+    assert run_cli(["gradcheck", "--config-json", write_config(tmp_path, small),
+                    "--instances", instances, "--out", str(out)]) == 2
+    assert "instances" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_set_overrides_reach_the_config(tmp_path):
     out = str(tmp_path / "mem.csv")
     assert run_cli(["memory", "--preset", "128M", "--set", "n_layers=1",

@@ -17,7 +17,6 @@ from attnlab import (
     decode_flops_breakdown,
     empty_cache,
     kv_param_count,
-    measured_cache_bytes,
 )
 
 
@@ -93,13 +92,7 @@ def test_measured_equals_closed_form_across_random_configs():
         cache = empty_cache(config, capacity=cap)
         # a DecodeCache stores one latent stream, hence streams=1 here
         query = q(config, T=cap, bytes_per_element=bpe, mla_latent_streams=1)
-        assert measured_cache_bytes(cache, bpe) == cache_bytes(query)
-
-
-def test_measured_cache_bytes_validates_width():
-    cache = empty_cache(cfg(Mechanism.MQA), capacity=2)
-    with pytest.raises(ConfigurationError):
-        measured_cache_bytes(cache, 3)
+        assert cache.payload_elements() * bpe == cache_bytes(query)
 
 
 @given(st.integers(1, 64), st.integers(1, 16))

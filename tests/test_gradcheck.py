@@ -1,13 +1,16 @@
+import numpy as np
 import pytest
 
 from attnlab import (
     AttentionConfig,
+    ConfigurationError,
     Mechanism,
     RngSpec,
     UnsupportedMechanismError,
     gradcheck_rows,
+    init_weights,
 )
-from attnlab.gradcheck import GRADCHECK_TOL
+from attnlab.gradcheck import GRADCHECK_TOL, _loss
 
 
 def test_small_instance_passes_at_tolerance():
@@ -50,3 +53,31 @@ def test_rejects_other_mechanisms():
     config = AttentionConfig(mechanism=Mechanism.MHA, d=24, H=2, d_h=12)
     with pytest.raises(UnsupportedMechanismError):
         gradcheck_rows(config, RngSpec(seed=0))
+
+
+@pytest.mark.parametrize("instances", [0, -3])
+def test_no_instances_is_a_configuration_error(instances):
+    config = AttentionConfig(mechanism=Mechanism.LRKV, d=24, H=2, d_h=12, r=3)
+    with pytest.raises(ConfigurationError, match="instances"):
+        gradcheck_rows(config, RngSpec(seed=0), instances=instances)
+
+
+def _per_head_loss(X, cotangents, shared, us, bs):
+    """The probed loss one head at a time, summed by ``+=`` in head order."""
+    total = 0.0
+    for h in range(len(cotangents)):
+        K = X @ (shared + us[h] @ bs[h].T)
+        total += float(np.sum(cotangents[h] * K))
+    return total
+
+
+@pytest.mark.parametrize("r", [0, 3])
+@pytest.mark.parametrize("H", [2, 9, 12])
+def test_stacked_loss_matches_per_head_sum_bitwise(H, r):
+    config = AttentionConfig(mechanism=Mechanism.LRKV, d=H * 4, H=H, d_h=4, r=r)
+    w = init_weights(config, RngSpec(seed=6))
+    gen = np.random.default_rng(7)
+    X = gen.standard_normal((5, config.d))
+    cotangents = gen.standard_normal((H, 5, config.d_h))
+    for factors in ((w.wk_shared, w.uk, w.bk), (w.wv_shared, w.uv, w.bv)):
+        assert _loss(X, cotangents, *factors) == _per_head_loss(X, cotangents, *factors)

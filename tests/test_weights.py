@@ -177,23 +177,47 @@ def test_projection_backward_matches_definition():
     w = init_weights(c, RngSpec(seed=9))
     gen = np.random.default_rng(0)
     X = gen.standard_normal((5, c.d))
-    dK = gen.standard_normal((5, c.d_h))
-    g = projection_backward(w, c, X, dK, head=1, path="k")
-    assert np.allclose(g.dWshared, X.T @ dK)
-    assert np.allclose(g.dU, X.T @ (dK @ w.bk[1]))
-    assert np.allclose(g.dB, dK.T @ (X @ w.uk[1]))
+    dK = gen.standard_normal((c.H, 5, c.d_h))
+    g = projection_backward(w, c, X, dK, path="k")
+    assert g.dWshared.shape == (c.d, c.d_h)
+    assert g.dU.shape == (c.H, c.d, c.r) and g.dB.shape == (c.H, c.d_h, c.r)
+    assert np.allclose(g.dWshared, X.T @ dK.sum(axis=0))
+    assert np.allclose(g.dU[1], X.T @ (dK[1] @ w.bk[1]))
+    assert np.allclose(g.dB[1], dK[1].T @ (X @ w.uk[1]))
+
+
+@pytest.mark.parametrize("path", ["k", "v"])
+@pytest.mark.parametrize("r", [0, 3])
+@pytest.mark.parametrize("H", [2, 9])  # H >= 8 tells a pairwise head sum from a sequential one
+def test_projection_backward_matches_per_head_formulas_bitwise(
+        per_head_projection_grad, path, r, H):
+    c = AttentionConfig(mechanism=Mechanism.LRKV, d=H * 8, H=H, d_h=8, r=r)
+    w = init_weights(c, RngSpec(seed=4))
+    gen = np.random.default_rng(5)
+    X = gen.standard_normal((6, c.d))
+    dK = gen.standard_normal((H, 6, c.d_h))
+    g = projection_backward(w, c, X, dK, path=path)
+    dWshared, dU, dB = per_head_projection_grad(w, c, X, dK, path)
+    for got, want in ((g.dWshared, dWshared), (g.dU, dU), (g.dB, dB)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_projection_backward_rejects_bad_inputs():
     c = cfg(Mechanism.LRKV, r=8)
     w = init_weights(c, RngSpec(seed=9))
     X = np.zeros((5, c.d))
+    for dK in (np.zeros((c.H, 4, c.d_h)),  # T differs from X's
+               np.zeros((5, c.d_h)),  # one head's 2-D cotangent
+               np.zeros((c.H - 1, 5, c.d_h))):  # a head short
+        with pytest.raises(DimensionError):
+            projection_backward(w, c, X, dK, path="k")
     with pytest.raises(DimensionError):
-        projection_backward(w, c, X, np.zeros((4, c.d_h)), head=0, path="k")
+        projection_backward(w, c, X, np.zeros((c.H, 5, c.d_h)), path="q")
     mha = cfg(Mechanism.MHA)
     with pytest.raises(UnsupportedMechanismError):
         projection_backward(init_weights(mha, RngSpec(seed=0)), mha, X,
-                            np.zeros((5, c.d_h)), head=0, path="k")
+                            np.zeros((c.H, 5, c.d_h)), path="k")
 
 
 ALL_MECHANISMS = [
