@@ -68,18 +68,20 @@ from typing import Callable
 import numpy as np
 
 from .attention import rmsnorm, softmax_row
-from .config import AttentionConfig, Mechanism, RngSpec
+from .config import AttentionConfig, Mechanism, RngSpec, require_mechanism
 from .errors import (
     CapacityError,
     ConfigurationError,
     DimensionError,
     NumericalError,
-    UnsupportedMechanismError,
     UnsupportedModeError,
 )
 from .weights import WeightSet, effective_kv_weights, init_weights, tensor_shapes
 
 _MASK64 = (1 << 64) - 1
+
+# The mechanisms with a factored decode path.
+FACTORED = (Mechanism.LRKV, Mechanism.MLA)
 
 # Cache field -> (weight that projects a token into it, alloc-hook tag of its rows).
 STREAMS = {
@@ -359,11 +361,7 @@ def decode_factored(
     Each line runs for all heads at once: the (H, d_h) query block reads
     K_shared, V_shared or Z once per step.
     """
-    m = config.mechanism
-    if m not in (Mechanism.LRKV, Mechanism.MLA):
-        raise UnsupportedMechanismError(
-            f"decode_factored requires lrkv or mla, got {m.value}"
-        )
+    require_mechanism(config, "decode_factored", *FACTORED)
     if config.qk_norm:
         raise UnsupportedModeError("decode_factored is undefined with qk_norm on")
     append_token(cache, w, config, x)
@@ -371,7 +369,7 @@ def decode_factored(
     try:
         Q = _note("decode.query", x @ w.wq)
 
-        if m is Mechanism.MLA:
+        if config.mechanism is Mechanism.MLA:
             Z = cache.z[:t]
             q_lat = _note("factored.latent_query",
                           _rowwise(Q, w.wup_k.transpose(0, 2, 1)))
@@ -425,7 +423,7 @@ def equivalence_report(
         raise ConfigurationError(f"T must be >= 1, got {T}")
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    has_factored = config.mechanism in (Mechanism.LRKV, Mechanism.MLA)
+    has_factored = config.mechanism in FACTORED
     rows: list[dict] = []
     shapes: list[tuple] = []
     prev_hook = set_alloc_hook(lambda tag, shape: shapes.append(shape))

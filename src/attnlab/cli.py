@@ -128,6 +128,9 @@ def _resolve_config(args) -> AttentionConfig:
 
 def _cmd_gen_weights(args) -> int:
     config = _resolve_config(args)
+    # An unwritable --out fails here, before the draw; append mode creates
+    # the file without truncating one that is already there.
+    open(args.out, "a").close()
     w = init_weights(config, RngSpec(seed=args.seed))
     if args.dtype == "f32":
         w = w.astype(np.float32)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, UnsupportedMechanismError
 
 
 class Mechanism(str, Enum):
@@ -32,6 +32,16 @@ class Mechanism(str, Enum):
                 f"unknown mechanism {name!r}; expected one of "
                 f"{[m.value for m in cls]}"
             ) from None
+
+
+def require_mechanism(config: AttentionConfig, operation: str, *allowed: Mechanism) -> None:
+    """Raise UnsupportedMechanismError unless ``config`` has one of the
+    ``allowed`` mechanisms: the guard of every mechanism-only operation."""
+    if config.mechanism not in allowed:
+        raise UnsupportedMechanismError(
+            f"{operation} is defined for {' or '.join(m.value for m in allowed)} only, "
+            f"got {config.mechanism.value}"
+        )
 
 
 def _is_int(v) -> bool:

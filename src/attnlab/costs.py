@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .config import AttentionConfig, Mechanism
-from .errors import ConfigurationError, UnsupportedMechanismError
+from .config import AttentionConfig, Mechanism, require_mechanism
+from .errors import ConfigurationError
 from .weights import kv_heads, residual_rank
 
 MIB = 2**20
@@ -71,7 +71,7 @@ class CostQuery:
 
 @dataclass(frozen=True)
 class CostReport:
-    """One mechanism's costs for one query.
+    """One mechanism's cache footprint and K/V parameter count for one query.
 
     ``cache_ratio_vs_mha`` is always the byte ratio against the full-cache
     baseline under the identical query (same H, d_h, T, batch, precision).
@@ -79,8 +79,6 @@ class CostReport:
 
     cache_bytes: int
     cache_ratio_vs_mha: float
-    decode_flops_per_step: int
-    flops_overhead_vs_mha: float
     kv_param_count: int
 
 
@@ -189,10 +187,7 @@ def ablation_table(
     long-prefix scan overhead. Rank 0 is the fully shared end of the
     family; ranks above d_h buy nothing but are costed faithfully.
     """
-    if base.mechanism is not Mechanism.LRKV:
-        raise UnsupportedMechanismError(
-            f"ablation_table sweeps lrkv ranks, got {base.mechanism.value}"
-        )
+    require_mechanism(base, "ablation_table", Mechanism.LRKV)
     rows: list[dict] = []
     for r in ranks:
         cfg = replace(base, r=r)
@@ -211,16 +206,13 @@ def ablation_table(
     return rows
 
 
-def cost_report(q: CostQuery, mla_path: str = "reconstruct") -> CostReport:
-    """Assemble the full report for one query (byte ratio vs baseline)."""
+def cost_report(q: CostQuery) -> CostReport:
+    """Cache bytes, byte ratio vs baseline and K/V parameters for one query."""
     bytes_self = cache_bytes(q)
     mha_q = replace(q, config=replace(q.config, mechanism=Mechanism.MHA))
     bytes_mha = cache_bytes(mha_q)
-    flops, overhead = decode_flops(q, mla_path=mla_path)
     return CostReport(
         cache_bytes=bytes_self,
         cache_ratio_vs_mha=bytes_self / bytes_mha if bytes_mha else 0.0,
-        decode_flops_per_step=flops,
-        flops_overhead_vs_mha=overhead,
         kv_param_count=kv_param_count(q.config),
     )

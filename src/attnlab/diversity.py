@@ -28,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AttentionConfig, Mechanism
+from .config import AttentionConfig, Mechanism, require_mechanism
 from .errors import (
     DegenerateHeadError,
     DimensionError,
     NumericalError,
     ParameterError,
-    UnsupportedMechanismError,
 )
 from .jacobi import jacobi_eigh
 from .weights import WeightSet, effective_kv_weights, gqa_group
@@ -250,10 +249,7 @@ def _magnitude_path(shared, us, bs):
 
 def magnitude_report(w: WeightSet, config: AttentionConfig) -> MagnitudeReport:
     """Shared/residual/total norms and alignment, K and V paths separately."""
-    if config.mechanism is not Mechanism.LRKV:
-        raise UnsupportedMechanismError(
-            f"magnitude_report is defined for lrkv only, got {config.mechanism.value}"
-        )
+    require_mechanism(config, "magnitude_report", Mechanism.LRKV)
     sk, rk, tk, ck = _magnitude_path(w.wk_shared, w.uk, w.bk)
     sv, rv, tv, cv = _magnitude_path(w.wv_shared, w.uv, w.bv)
     return MagnitudeReport(
@@ -305,10 +301,7 @@ def factorization_gap(
     ``svd_truncate`` call on the (2H, d, d_h) stack of targets minus the
     shared base, K heads first; rows come in that order.
     """
-    if config.mechanism is not Mechanism.LRKV:
-        raise UnsupportedMechanismError(
-            f"factorization_gap compares lrkv weights, got {config.mechanism.value}"
-        )
+    require_mechanism(config, "factorization_gap", Mechanism.LRKV)
     expected = (config.H, config.d, config.d_h)
     if reference.wk is None or reference.wv is None:
         raise ParameterError(

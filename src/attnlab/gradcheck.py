@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import AttentionConfig, Mechanism, RngSpec
-from .errors import ConfigurationError, UnsupportedMechanismError
+from .config import AttentionConfig, Mechanism, RngSpec, require_mechanism
+from .errors import ConfigurationError
 from .weights import init_weights, projection_backward
 
 _MASK64 = (1 << 64) - 1
@@ -88,10 +88,7 @@ def gradcheck_rows(
     and the finite-difference mode used. The shared-base row checks the
     per-head-summed gradient.
     """
-    if config.mechanism is not Mechanism.LRKV:
-        raise UnsupportedMechanismError(
-            f"gradcheck probes the factorized projection; got {config.mechanism.value}"
-        )
+    require_mechanism(config, "gradcheck_rows", Mechanism.LRKV)
     if instances < 1:
         raise ConfigurationError(f"instances must be >= 1, got {instances}")
     rows: list[dict] = []

@@ -192,7 +192,7 @@ def _check_finite(a: np.ndarray, batch: tuple[int, ...], what: str) -> None:
 
 
 def jacobi_eigh(
-    A: np.ndarray, rel_tol: float = REL_TOL, max_sweeps: int = MAX_SWEEPS
+    A: np.ndarray, max_sweeps: int = MAX_SWEEPS
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of symmetric A.
 
@@ -200,7 +200,7 @@ def jacobi_eigh(
     of shapes (..., n) and (..., n, n), with A ≈ V @ diag(evals) @ V.T and V's
     columns the eigenvectors; each member of a stack gets the bits its own
     call would. Convergence: off-diagonal Frobenius norm below
-    rel_tol * ||A||_F (exact zero for the empty and 1x1 cases). A NaN or
+    REL_TOL * ||A||_F (exact zero for the empty and 1x1 cases). A NaN or
     infinite entry raises NumericalError, ahead of the symmetry check, and so
     do a symmetrized entry that overflows (entries near the float64 maximum)
     and a Frobenius norm that overflows (entries near 1e154 and up). On a
@@ -239,7 +239,7 @@ def jacobi_eigh(
     if n <= 1:
         evals = np.diagonal(a, axis1=1, axis2=2).reshape(*batch, n)
         return evals.copy(), np.broadcast_to(np.eye(n), A.shape).copy()
-    threshold = rel_tol * norm
+    threshold = REL_TOL * norm
 
     # An odd n gets a zero last row and column, the dummy index: its
     # rotations have apq = 0 and change nothing.

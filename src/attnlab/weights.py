@@ -39,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .config import AttentionConfig, Mechanism, RngSpec
-from .errors import DimensionError, UnsupportedMechanismError
+from .config import AttentionConfig, Mechanism, RngSpec, require_mechanism
+from .errors import DimensionError
 
 DTYPE = np.float64
 
@@ -271,10 +271,7 @@ def projection_backward(
     contribution; the head sum runs in head order, as a ``+=`` loop would.
     ``path`` selects the K or V factor stacks (the structure is identical).
     """
-    if config.mechanism is not Mechanism.LRKV:
-        raise UnsupportedMechanismError(
-            f"projection_backward is defined for lrkv only, got {config.mechanism.value}"
-        )
+    require_mechanism(config, "projection_backward", Mechanism.LRKV)
     if path == "k":
         U, B = w.uk, w.bk
     elif path == "v":

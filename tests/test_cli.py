@@ -104,6 +104,21 @@ def test_gen_weights_f32(tmp_path):
     assert read_archive(out).wk_shared.dtype == np.float32
 
 
+def test_gen_weights_opens_out_before_drawing(tmp_path, monkeypatch):
+    """A path that cannot be written fails before any weight is drawn, and a
+    config that does not resolve still leaves no file behind."""
+    draws = []
+    monkeypatch.setattr("attnlab.cli.init_weights", lambda *a: draws.append(a))
+    cfg_path = write_config(tmp_path, LRKV_SMALL)
+    missing = tmp_path / "missing" / "w.bin"
+    assert run_cli(["gen-weights", "--config-json", cfg_path, "--out", str(missing)]) == 2
+    assert draws == [] and not missing.parent.exists()
+    out = tmp_path / "w.bin"
+    assert run_cli(["gen-weights", "--config-json", cfg_path, "--set", "H=5",
+                    "--out", str(out)]) == 2
+    assert draws == [] and not out.exists()
+
+
 def test_verify_small_config_passes(tmp_path):
     cfg_path = write_config(tmp_path, LRKV_SMALL)
     out = str(tmp_path / "verify.csv")

@@ -1,9 +1,24 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from attnlab import AttentionConfig, ConfigurationError, Mechanism, RngSpec
+from attnlab import (
+    AttentionConfig,
+    ConfigurationError,
+    Mechanism,
+    RngSpec,
+    UnsupportedMechanismError,
+    ablation_table,
+    decode_factored,
+    empty_cache,
+    factorization_gap,
+    gradcheck_rows,
+    init_weights,
+    magnitude_report,
+    projection_backward,
+)
 
 
 def test_mechanism_parse_accepts_all_names():
@@ -168,3 +183,29 @@ def test_bool_is_not_an_integer_field(field, mechanism):
         AttentionConfig(**kwargs)
     with pytest.raises(ConfigurationError, match=field):
         AttentionConfig.from_json_dict(kwargs)
+
+
+GQA = AttentionConfig(mechanism=Mechanism.GQA, d=32, H=4, d_h=8, G=2)
+
+
+# Each mechanism-only operation: the mechanisms it allows, and a call on GQA.
+GUARDED = {
+    "decode_factored": ("lrkv or mla", lambda w: decode_factored(
+        empty_cache(GQA, 1), w, GQA, np.zeros(GQA.d))),
+    "ablation_table": ("lrkv", lambda w: ablation_table(GQA, [1], T=4)),
+    "magnitude_report": ("lrkv", lambda w: magnitude_report(w, GQA)),
+    "factorization_gap": ("lrkv", lambda w: factorization_gap(w, GQA, w)),
+    "gradcheck_rows": ("lrkv", lambda w: gradcheck_rows(GQA, RngSpec(seed=0))),
+    "projection_backward": ("lrkv", lambda w: projection_backward(
+        w, GQA, np.zeros((2, GQA.d)), np.zeros((GQA.H, 2, GQA.d_h)))),
+}
+
+
+@pytest.mark.parametrize("operation", GUARDED)
+def test_mechanism_only_operations_name_themselves(operation):
+    """One guard: the message names the operation, what it allows, and the
+    mechanism it was given."""
+    allowed, call = GUARDED[operation]
+    with pytest.raises(UnsupportedMechanismError) as e:
+        call(init_weights(GQA, RngSpec(seed=0)))
+    assert str(e.value) == f"{operation} is defined for {allowed} only, got gqa"
