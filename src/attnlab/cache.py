@@ -2,16 +2,17 @@
 
 Every mechanism caches the smallest sufficient statistic of the prefix:
 
-    MHA   per-head K/V streams          (H, T, d_h) x 2
-    MQA   one shared K/V stream         (T, d_h) x 2
-    GQA   per-group K/V streams         (G, T, d_h) x 2
-    MLA   one latent stream Z           (T, d_c)
-    LRKV  shared K/V streams plus       (T, d_h) x 2
-          per-head rank-r latents       (H, T, r) x 2
+    MHA   wk, wv                per-head K/V              (H, T, d_h) x 2
+    MQA   wk_shared, wv_shared  one shared K/V            (T, d_h) x 2
+    GQA   wk, wv                per-group K/V             (G, T, d_h) x 2
+    MLA   wdown                 one latent Z              (T, d_c)
+    LRKV  wk_shared, wv_shared  shared K/V plus           (T, d_h) x 2
+          uk, uv                per-head rank-r latents   (H, T, r) x 2
 
-``STREAMS`` maps each cache field to the weight that projects a token into
-it; a buffer has that weight's ``tensor_shapes`` shape with the model-width
-(row) axis replaced by the capacity.
+A stream is named by the weight that projects a token into it (``STREAMS``).
+``DecodeCache.streams`` maps each of the config's stream weights to its
+buffer, in ``tensor_shapes`` order; a buffer has that weight's shape with the
+model-width (row) axis replaced by the capacity.
 
 Two decode paths are provided. ``decode_explicit`` reconstructs each head's
 full K/V over the cached prefix and runs ordinary attention — the reference
@@ -83,18 +84,9 @@ _MASK64 = (1 << 64) - 1
 # The mechanisms with a factored decode path.
 FACTORED = (Mechanism.LRKV, Mechanism.MLA)
 
-# Cache field -> (weight that projects a token into it, alloc-hook tag of its rows).
-STREAMS = {
-    "k": ("wk", "append.k_row"),
-    "v": ("wv", "append.v_row"),
-    "k_shared": ("wk_shared", "append.k_row"),
-    "v_shared": ("wv_shared", "append.v_row"),
-    "z": ("wdown", "append.z_row"),
-    "rk": ("uk", "append.rk_row"),
-    "rv": ("uv", "append.rv_row"),
-}
-# Stream weight -> the cache field it projects into.
-_FIELDS = {weight: field for field, (weight, _) in STREAMS.items()}
+# The weights that project a token into a cached stream; the alloc-hook tag
+# of a stream's rows is ``append.<weight>``.
+STREAMS = ("wk", "wv", "wk_shared", "wv_shared", "wdown", "uk", "uv")
 
 AllocHook = Callable[[str, tuple], None]
 _alloc_hook: AllocHook | None = None
@@ -124,40 +116,26 @@ class DecodeCache:
     """Preallocated per-layer decode cache for one mechanism.
 
     Buffers are allocated once at ``capacity`` rows and filled up to
-    ``length``; fields the mechanism has no stream for stay None. Single
-    writer; reads between appends are safe.
+    ``length``; ``streams`` maps each stream weight of the mechanism to its
+    buffer. Single writer; reads between appends are safe.
     """
 
     config: AttentionConfig
     capacity: int
+    streams: dict[str, np.ndarray]  # e.g. "wk": (H, cap, d_h), "wdown": (cap, d_c)
     length: int = 0
-    k: np.ndarray | None = None         # (H, cap, d_h) MHA / (G, cap, d_h) GQA
-    v: np.ndarray | None = None
-    k_shared: np.ndarray | None = None  # (cap, d_h) MQA / LRKV
-    v_shared: np.ndarray | None = None
-    z: np.ndarray | None = None         # (cap, d_c) MLA
-    rk: np.ndarray | None = None        # (H, cap, r) LRKV
-    rv: np.ndarray | None = None
-
-    def _buffers(self) -> list[np.ndarray]:
-        """The allocated stream buffers, in ``STREAMS`` order."""
-        return [buf for buf in (getattr(self, f) for f in STREAMS) if buf is not None]
 
     def payload_elements(self) -> int:
         """Elements held by the cache buffers (at full capacity)."""
-        return sum(buf.size for buf in self._buffers())
+        return sum(buf.size for buf in self.streams.values())
 
     def payload_nbytes(self) -> int:
         """Total bytes held by the cache buffers (at full capacity)."""
         return self.payload_elements() * self.dtype.itemsize
 
     @property
-    def dtype(self):
-        for field in STREAMS:
-            buf = getattr(self, field)
-            if buf is not None:
-                return buf.dtype
-        return np.dtype(np.float64)
+    def dtype(self) -> np.dtype:
+        return next(iter(self.streams.values())).dtype
 
 
 @dataclass(frozen=True)
@@ -181,13 +159,10 @@ def empty_cache(config: AttentionConfig, capacity: int, dtype=np.float64) -> Dec
     """Allocate an all-zero cache with room for ``capacity`` tokens."""
     if capacity < 0:
         raise ConfigurationError(f"capacity must be >= 0, got {capacity}")
-    cache = DecodeCache(config=config, capacity=capacity)
-    shapes = tensor_shapes(config)
-    for field, (weight, _) in STREAMS.items():
-        if weight in shapes:
-            *heads, _, cols = shapes[weight]
-            setattr(cache, field, np.zeros((*heads, capacity, cols), dtype=dtype))
-    return cache
+    return DecodeCache(config=config, capacity=capacity, streams={
+        name: np.zeros((*heads, capacity, cols), dtype=dtype)
+        for name, (*heads, _, cols) in tensor_shapes(config).items() if name in STREAMS
+    })
 
 
 def _append_rows(
@@ -215,16 +190,14 @@ def _append_rows(
     X = X[:, None, :]  # (T, 1, d): one gemv per row (see the module docstring)
     screen = 0.0
     try:
-        for field, (weight, tag) in STREAMS.items():
-            buf = getattr(cache, field)
-            if buf is not None:
-                rows = buf[..., t:t + T, None, :]
-                np.matmul(X, getattr(w, weight)[..., None, :, :], out=rows)
-                if _alloc_hook is not None:  # no view on the unhooked hot path
-                    _note(tag, buf[..., t:t + T, :])
-                screen += np.add.reduce(rows, None)
+        for name, buf in cache.streams.items():
+            rows = buf[..., t:t + T, None, :]
+            np.matmul(X, getattr(w, name)[..., None, :, :], out=rows)
+            if _alloc_hook is not None:  # no view on the unhooked hot path
+                _note(f"append.{name}", buf[..., t:t + T, :])
+            screen += np.add.reduce(rows, None)
         if not math.isfinite(screen) and not all(
-            np.isfinite(buf[..., t:t + T, :]).all() for buf in cache._buffers()
+            np.isfinite(buf[..., t:t + T, :]).all() for buf in cache.streams.values()
         ):
             raise NumericalError("token rows overflow the cache dtype")
     except BaseException:
@@ -236,7 +209,7 @@ def _append_rows(
 
 def _truncate(cache: DecodeCache, length: int) -> None:
     """Set the cache back to ``length`` rows and zero every row past it."""
-    for buf in cache._buffers():
+    for buf in cache.streams.values():
         buf[..., length:, :] = 0
     cache.length = length
 
@@ -321,7 +294,7 @@ def decode_explicit(
     try:
         H, d_h = config.H, config.d_h
         K, V = effective_kv_weights(
-            w, config, lambda weight: getattr(cache, _FIELDS[weight])[..., :t, :])
+            w, config, lambda name: cache.streams[name][..., :t, :])
         if K.base is None:  # reconstructed, not views of the cache: MLA, LRKV at r > 0
             K, V = _note("explicit.k_head", K), _note("explicit.v_head", V)
         n = K.shape[0]
@@ -370,7 +343,7 @@ def decode_factored(
         Q = _note("decode.query", x @ w.wq)
 
         if config.mechanism is Mechanism.MLA:
-            Z = cache.z[:t]
+            Z = cache.streams["wdown"][:t]
             q_lat = _note("factored.latent_query",
                           _rowwise(Q, w.wup_k.transpose(0, 2, 1)))
             logits = _note("decode.scores", _scaled(q_lat @ Z.T, config, cache))
@@ -379,20 +352,20 @@ def decode_factored(
             out = _note("decode.out", _rowwise(az, w.wup_v))
             return _finalize(logits, out)
 
-        base = _note("factored.shared_scores", Q @ cache.k_shared[:t].T)
+        base = _note("factored.shared_scores", Q @ cache.streams["wk_shared"][:t].T)
         if config.r == 0:
             logits = _note("decode.scores", _scaled(base, config, cache))
         else:
             qb = _note("factored.k_latent_query", _rowwise(Q, w.bk))
             corr = _note("factored.score_correction",
-                         (cache.rk[:, :t] @ qb[:, :, None])[:, :, 0])
+                         (cache.streams["uk"][:, :t] @ qb[:, :, None])[:, :, 0])
             logits = _note("decode.scores", _scaled(base + corr, config, cache))
         A = _note("decode.weights", softmax_row(logits))
-        base_out = _note("factored.shared_out", A @ cache.v_shared[:t])
+        base_out = _note("factored.shared_out", A @ cache.streams["wv_shared"][:t])
         if config.r == 0:
             out = base_out
         else:
-            av = _note("factored.v_latent_mix", _rowwise(A, cache.rv[:, :t]))
+            av = _note("factored.v_latent_mix", _rowwise(A, cache.streams["uv"][:, :t]))
             out = _note("decode.out",
                         base_out + _rowwise(av, w.bv.transpose(0, 2, 1)))
         return _finalize(logits, out)

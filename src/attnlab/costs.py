@@ -27,11 +27,12 @@ default. A DecodeCache always holds the single shared stream, so its
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .config import AttentionConfig, Mechanism, require_mechanism
 from .errors import ConfigurationError
-from .weights import kv_heads, residual_rank
+from .weights import kv_heads, residual_rank, tensor_shapes
 
 MIB = 2**20
 VALID_BYTES_PER_ELEMENT = (1, 2, 4, 8)
@@ -108,10 +109,7 @@ def cache_ratio(
 
 def kv_param_count(config: AttentionConfig) -> int:
     """K/V projection parameters per layer (queries excluded)."""
-    c = config
-    if c.mechanism is Mechanism.MLA:
-        return c.d * c.d_c + 2 * c.H * c.d_c * c.d_h
-    return 2 * kv_heads(c) * c.d * c.d_h + 2 * c.H * residual_rank(c) * (c.d + c.d_h)
+    return sum(math.prod(s) for name, s in tensor_shapes(config).items() if name != "wq")
 
 
 def decode_flops_breakdown(q: CostQuery, mla_path: str = "reconstruct") -> dict[str, int]:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -26,7 +27,7 @@ from attnlab import (
     prefill,
     set_alloc_hook,
 )
-from attnlab.cache import STREAMS
+from attnlab.cache import FACTORED, STREAMS
 from attnlab.weights import ALIGNMENT, tensor_shapes
 
 
@@ -48,6 +49,11 @@ class EventLog:
         return out
 
 
+def stream_bytes(cache):
+    """Stream weight -> the bytes of its whole buffer (rows past length too)."""
+    return {name: buf.tobytes() for name, buf in cache.streams.items()}
+
+
 @pytest.fixture
 def log():
     logger = EventLog()
@@ -57,19 +63,18 @@ def log():
 
 
 @pytest.mark.parametrize("mechanism,kw,fields", [
-    (Mechanism.MHA, {}, ("k", "v")),
-    (Mechanism.MQA, {}, ("k_shared", "v_shared")),
-    (Mechanism.GQA, {"G": 2}, ("k", "v")),
-    (Mechanism.MLA, {"d_c": 10}, ("z",)),
-    (Mechanism.LRKV, {"r": 5}, ("k_shared", "v_shared", "rk", "rv")),
+    (Mechanism.MHA, {}, ("wk", "wv")),
+    (Mechanism.MQA, {}, ("wk_shared", "wv_shared")),
+    (Mechanism.GQA, {"G": 2}, ("wk", "wv")),
+    (Mechanism.MLA, {"d_c": 10}, ("wdown",)),
+    (Mechanism.LRKV, {"r": 5}, ("wk_shared", "wv_shared", "uk", "uv")),
 ])
 def test_empty_cache_allocates_the_right_streams(mechanism, kw, fields):
     config = cfg(mechanism, **kw)
     cache = empty_cache(config, capacity=6, dtype=np.float32)
     assert cache.length == 0 and cache.capacity == 6
     assert cache.dtype == np.float32
-    for f in fields:
-        assert getattr(cache, f) is not None, f
+    assert tuple(cache.streams) == fields and set(fields) <= set(STREAMS)
     expected = {
         Mechanism.MHA: 2 * config.H * 6 * config.d_h,
         Mechanism.MQA: 2 * 6 * config.d_h,
@@ -105,11 +110,7 @@ def test_prefill_is_bitwise_identical_to_appends(mechanism, kw):
     b = empty_cache(config, capacity=11, dtype=X.dtype)
     for row in X:
         append_token(b, w, config, row)
-    for field in ("k", "v", "k_shared", "v_shared", "z", "rk", "rv"):
-        fa, fb = getattr(a, field), getattr(b, field)
-        assert (fa is None) == (fb is None)
-        if fa is not None:
-            assert np.array_equal(fa, fb), field
+    assert stream_bytes(a) == stream_bytes(b)  # bytes, not values: -0.0 and 0.0 differ
 
 
 FIVE = [(Mechanism.MHA, {}), (Mechanism.MQA, {}), (Mechanism.GQA, {"G": 3}),
@@ -152,11 +153,7 @@ def test_prefill_equals_appends_at_the_128m_shape(mechanism, kw, case, aligned):
     for row in X:
         append_token(b, w, config, row)
     assert a.length == b.length == 40 and a.dtype == b.dtype == dtype
-    for field in STREAMS:
-        fa, fb = getattr(a, field), getattr(b, field)
-        assert (fa is None) == (fb is None), field
-        if fa is not None:
-            assert fa.tobytes() == fb.tobytes(), field
+    assert stream_bytes(a) == stream_bytes(b)
 
 
 PREFILL_EVENT_CASES = [
@@ -187,7 +184,7 @@ def test_prefill_reports_the_alloc_events_of_its_appends(log, mechanism, kw):
     for row in X:
         append_token(appended, w, config, row)
     rowwise = log.drain()
-    streams = len(cache._buffers())
+    streams = len(cache.streams)
     assert len(blocked) == streams and len(rowwise) == 7 * streams
     assert _elements_by_tag(blocked) == _elements_by_tag(rowwise)
 
@@ -201,8 +198,7 @@ def test_prefill_calls_the_hook_once_per_stream(log, mechanism, kw):
     X = np.random.default_rng(27).standard_normal((9, config.d))
     log.drain()
     cache = prefill(w, config, X, capacity=12)
-    want = [(tag, getattr(cache, field)[..., :9, :].shape)
-            for field, (_, tag) in STREAMS.items() if getattr(cache, field) is not None]
+    want = [(f"append.{name}", buf[..., :9, :].shape) for name, buf in cache.streams.items()]
     assert log.drain() == want
 
 
@@ -219,7 +215,7 @@ def test_token_whose_rows_overflow_is_rejected(mechanism, kw):
     huge = np.full(config.d, 1e308)
     hit = prefill(w, config, X[:3], capacity=5)
     clean = prefill(w, config, X[:3], capacity=5)
-    before = {f: getattr(hit, f).tobytes() for f in STREAMS if getattr(hit, f) is not None}
+    before = stream_bytes(hit)
     with np.errstate(over="ignore", invalid="ignore"):  # numpy warns, then we raise
         with pytest.raises(NumericalError):
             append_token(hit, w, config, huge)
@@ -228,7 +224,7 @@ def test_token_whose_rows_overflow_is_rejected(mechanism, kw):
         with pytest.raises(NumericalError):
             prefill(w, config, np.vstack([X[:2], huge]))
     assert hit.length == 3
-    assert {f: getattr(hit, f).tobytes() for f in before} == before
+    assert stream_bytes(hit) == before
     got = decode_explicit(hit, w, config, X[3])
     want = decode_explicit(clean, w, config, X[3])
     assert np.array_equal(got.logits, want.logits)
@@ -237,12 +233,12 @@ def test_token_whose_rows_overflow_is_rejected(mechanism, kw):
     # Rows finite in float64 can still overflow a float32 cache.
     big = np.full(config.d, 1e39)
     c32 = prefill(w, config, X[:3], capacity=5, dtype=np.float32)
-    before32 = {f: getattr(c32, f).tobytes() for f in before}
+    before32 = stream_bytes(c32)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError):
             append_token(c32, w, config, big)
     assert c32.length == 3
-    assert {f: getattr(c32, f).tobytes() for f in before} == before32
+    assert stream_bytes(c32) == before32
     append_token(clean, w, config, big)  # positive control: fits float64
     assert clean.length == 5
 
@@ -327,13 +323,38 @@ def test_failed_step_restores_the_cache_bytes(decode):
     w = init_weights(config, RngSpec(seed=24))
     X = np.random.default_rng(25).standard_normal((4, config.d))
     cache = prefill(w, config, X[:3], capacity=6)
-    before = {f: getattr(cache, f).tobytes() for f in STREAMS if getattr(cache, f) is not None}
+    before = stream_bytes(cache)
     loud = dataclasses.replace(w, wq=np.full_like(w.wq, 1e308))  # K/V rows stay finite
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError):
             decode(cache, loud, config, X[3])
     assert cache.length == 3
-    assert {f: getattr(cache, f).tobytes() for f in before} == before
+    assert stream_bytes(cache) == before
+
+
+@pytest.mark.parametrize("mechanism,kw,decode", [
+    pytest.param(m, kw, decode, id=f"{i}-{path}")
+    for (m, kw), i in zip(PREFILL_EVENT_CASES, PREFILL_EVENT_IDS)
+    for path, decode in (("explicit", decode_explicit), ("factored", decode_factored))
+    if path == "explicit" or m in FACTORED
+])
+def test_deep_copied_cache_is_independent(mechanism, kw, decode):
+    """A deep copy of a prefilled cache (the serving benchmark's shadow check
+    decodes on one) shares no buffer: a step on the copy leaves the original's
+    bytes and length, and the same step on the original gives the same bits."""
+    config = cfg(mechanism, **kw)
+    w = init_weights(config, RngSpec(seed=32))
+    X = np.random.default_rng(33).standard_normal((6, config.d))
+    original = prefill(w, config, X[:5], capacity=6)
+    before = stream_bytes(original)
+    shadow = copy.deepcopy(original)
+    got = decode(shadow, w, config, X[5])
+    assert original.length == 5 and shadow.length == 6
+    assert stream_bytes(original) == before
+    want = decode(original, w, config, X[5])
+    assert got.logits.tobytes() == want.logits.tobytes()
+    assert got.out.tobytes() == want.out.tobytes()
+    assert stream_bytes(original) == stream_bytes(shadow)
 
 
 NAN_CASES = [(Mechanism.MHA, {}), (Mechanism.LRKV, {"r": 5}), (Mechanism.MLA, {"d_c": 10})]
@@ -356,15 +377,14 @@ def test_nonfinite_append_writes_nothing(mechanism, kw):
     w = init_weights(config, RngSpec(seed=16))
     X = np.random.default_rng(17).standard_normal((3, config.d))
     cache = prefill(w, config, X, capacity=5)
-    before = {f: getattr(cache, f).copy() for f in STREAMS if getattr(cache, f) is not None}
+    before = stream_bytes(cache)
     for bad in (np.nan, np.inf, -np.inf):
         x = X[0].copy()
         x[-1] = bad
         with pytest.raises(NumericalError):
             append_token(cache, w, config, x)
         assert cache.length == 3
-        for f, buf in before.items():
-            assert getattr(cache, f).tobytes() == buf.tobytes(), f
+        assert stream_bytes(cache) == before
     with np.errstate(over="ignore"):  # finite, though its squared norm overflows
         append_token(cache, w, config, np.full(config.d, 1e160))
     assert cache.length == 4

@@ -13,7 +13,6 @@ from attnlab import (
     prefill,
     projection_backward,
 )
-from attnlab.cache import STREAMS
 from attnlab.weights import (
     ALIGNMENT,
     RESIDUAL_INIT_FRACTION,
@@ -136,9 +135,8 @@ def test_kv_expansion_of_cached_rows_matches_expanded_weights(mechanism, kw, dty
     w = init_weights(c, RngSpec(seed=2)).astype(dtype)
     X = np.random.default_rng(7).standard_normal((9, c.d)).astype(dtype)
     cache = prefill(w, c, X, capacity=12)
-    fields = {weight: field for field, (weight, _) in STREAMS.items()}
     K, V = effective_kv_weights(
-        w, c, lambda weight: getattr(cache, fields[weight])[..., :cache.length, :])
+        w, c, lambda name: cache.streams[name][..., :cache.length, :])
     Kw, Vw = effective_kv_weights(w, c)
     tol = 1e-12 if dtype is np.float64 else 1e-5
     for got, weights in ((K, Kw), (V, Vw)):
@@ -146,7 +144,7 @@ def test_kv_expansion_of_cached_rows_matches_expanded_weights(mechanism, kw, dty
         assert got.shape == ref.shape and got.dtype == dtype
         assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
     # stored: K views the K stream and V the V stream; reconstructed: no views
-    views = [np.shares_memory(a, b) for a in (K, V) for b in cache._buffers()]
+    views = [np.shares_memory(a, b) for a in (K, V) for b in cache.streams.values()]
     assert views.count(True) == (2 if _is_stored(c) else 0)
 
 
