@@ -65,7 +65,7 @@ from .presets import PRESET_NAMES, PRESETS, ScalePreset, config_for, get_preset
 from .weights import (
     ProjectionGrad,
     WeightSet,
-    effective_kv_weights,
+    effective_weights,
     gqa_group,
     init_weights,
     projection_backward,
@@ -73,7 +73,7 @@ from .weights import (
 
 __all__ = [
     "AttentionConfig", "Mechanism", "RngSpec",
-    "WeightSet", "ProjectionGrad", "init_weights", "effective_kv_weights",
+    "WeightSet", "ProjectionGrad", "init_weights", "effective_weights",
     "projection_backward", "gqa_group",
     "forward_attention", "rmsnorm", "softmax_row",
     "DecodeCache", "DecodeStepOutput", "empty_cache", "prefill",

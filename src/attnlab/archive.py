@@ -8,21 +8,42 @@ Layout, all little-endian:
 
 The header carries ``format_version``, a CRC-32 of the blob, the attention
 config (field-for-field JSON), and a tensor manifest: name, dtype ("f32" or
-"f64"), row-major shape, byte offset into the blob, and byte length. Reads
-validate the version, name uniqueness, offset/length consistency, blob size,
-and checksum before any tensor is materialized; every failure names the
-offending field. The names and shapes must be the config's layout
-(``weights.flat_shapes``): a stacked field such as ``wq`` is stored as its
-matrices ``wq.0`` ... ``wq.{H-1}``. Tensors are stored and loaded as
-little-endian regardless of host byte order, so an archive means the same
-floats everywhere. A read copies each field into one aligned buffer
-(``weights.aligned_empty``), as ``init_weights`` allocates it.
+"f64"), row-major shape, byte offset into the blob, and byte length. Tensors
+are stored and loaded as little-endian regardless of host byte order, so an
+archive means the same floats everywhere.
+
+A read validates in this order, and every failure names the offending field:
+
+1. the header: its declared length against the file's size, then its JSON,
+   version and config;
+2. the manifest: name uniqueness, dtypes, shapes, and offsets and lengths
+   against each other and against the blob's size (the file's size from
+   ``os.fstat``, so a huge claimed shape fails before anything is allocated);
+3. the layout: the names and shapes must be the config's
+   (``weights.flat_shapes``): a stacked field such as ``wq`` is stored as its
+   matrices ``wq.0`` ... ``wq.{H-1}``;
+4. the checksum, last, as the blob streams in.
+
+So an archive that is both corrupt and mis-laid-out is named for its layout.
+Only then is each field allocated, one aligned buffer (``weights.aligned_empty``)
+as ``init_weights`` allocates it, and the blob is streamed in offset order:
+each tensor is read straight into its slice of its field, and the CRC is
+updated from that slice; gap and trailing bytes are fed to the CRC in small
+chunks. A checksum mismatch raises before anything is returned. The file is
+never held whole, so a read peaks at about one copy of the payload. A write
+streams the same way: one CRC pass over the tensors, then the header, then
+each tensor from its own buffer.
+
+The archive is not memory-mapped: mapped page-cache pages count in a
+process's resident set, so a mapped read held the file once more in RSS
+than a read into the fields does.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 
@@ -36,6 +57,9 @@ FORMAT_VERSION = 1
 
 _DTYPE_CODES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
+# Gap and trailing bytes are read and checksummed this many at a time.
+_CHUNK = 1 << 20
+
 
 def _dtype_code(arr: np.ndarray) -> str:
     if arr.dtype == np.float32:
@@ -46,28 +70,32 @@ def _dtype_code(arr: np.ndarray) -> str:
 
 
 def write_archive(weights: WeightSet, path) -> None:
-    """Serialize a WeightSet (its config included) to ``path``."""
+    """Serialize a WeightSet (its config included) to ``path``.
+
+    Each tensor is written from its own buffer (a little-endian C-contiguous
+    field is not copied); the checksum is one pass over them first.
+    """
     if weights.config is None:
         raise ArchiveError("weights carry no config; cannot serialize")
     manifest = []
-    chunks = []
-    offset = 0
+    tensors = []
+    offset = checksum = 0
     for name, arr in weights.named_tensors().items():
         code = _dtype_code(arr)
-        raw = np.ascontiguousarray(arr).astype(_DTYPE_CODES[code], copy=False).tobytes()
+        raw = np.ascontiguousarray(arr).astype(_DTYPE_CODES[code], copy=False)
         manifest.append({
             "name": name,
             "dtype": code,
             "shape": list(arr.shape),
             "offset": offset,
-            "length": len(raw),
+            "length": raw.nbytes,
         })
-        chunks.append(raw)
-        offset += len(raw)
-    blob = b"".join(chunks)
+        checksum = zlib.crc32(raw, checksum)
+        tensors.append(raw)
+        offset += raw.nbytes
     header = {
         "format_version": FORMAT_VERSION,
-        "checksum": zlib.crc32(blob) & 0xFFFFFFFF,
+        "checksum": checksum & 0xFFFFFFFF,
         "config": weights.config.to_json_dict(),
         "tensors": manifest,
     }
@@ -75,26 +103,83 @@ def write_archive(weights: WeightSet, path) -> None:
     with open(path, "wb") as f:  # as given: Path('') would name '.'
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
-        f.write(blob)
+        for raw in tensors:
+            f.write(raw)
+
+
+def _read_exactly(f, buf) -> None:
+    """Fill the writable buffer ``buf`` from ``f``; a short read means the
+    file shrank after its size was taken."""
+    if f.readinto(buf) != len(buf):
+        raise ArchiveError("truncated archive: file ended while reading the blob")
+
+
+def _skip(f, n: int, crc: int) -> int:
+    """Read ``n`` bytes that belong to no tensor; return the CRC updated by them."""
+    buf = bytearray(min(n, _CHUNK))
+    while n:
+        view = memoryview(buf)[:min(n, _CHUNK)]
+        _read_exactly(f, view)
+        crc = zlib.crc32(view, crc)
+        n -= len(view)
+    return crc
 
 
 def read_archive(path) -> WeightSet:
-    """Load a WeightSet; validates structure and checksum before decoding."""
+    """Load a WeightSet; validates header, manifest and layout before it
+    allocates a field, and the checksum before it returns."""
     with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 8:
-        raise ArchiveError("truncated archive: missing header length")
-    (header_len,) = struct.unpack("<Q", data[:8])
-    if len(data) < 8 + header_len:
-        raise ArchiveError("truncated archive: header shorter than declared")
-    try:
-        header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
-    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or nested too deep
-        raise ArchiveError(f"unreadable header: {e}") from e
-    if not isinstance(header, dict):
-        raise ArchiveError(f"header is a JSON {type(header).__name__}, not an object")
-    blob = memoryview(data)[8 + header_len :]
+        size = os.fstat(f.fileno()).st_size
+        raw = f.read(8)
+        if len(raw) < 8:
+            raise ArchiveError("truncated archive: missing header length")
+        (header_len,) = struct.unpack("<Q", raw)
+        if size < 8 + header_len:
+            raise ArchiveError("truncated archive: header shorter than declared")
+        raw = f.read(header_len)
+        if len(raw) < header_len:
+            raise ArchiveError("truncated archive: header shorter than declared")
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or nested too deep
+            raise ArchiveError(f"unreadable header: {e}") from e
+        if not isinstance(header, dict):
+            raise ArchiveError(f"header is a JSON {type(header).__name__}, not an object")
+        config, entries = _validate(header, size - 8 - header_len)
 
+        # One aligned buffer per field, in host byte order, filled by flat name.
+        dtypes: dict[str, list[np.dtype]] = {}
+        for name, (dtype, _, _) in entries.items():
+            dtypes.setdefault(name.partition(".")[0], []).append(dtype)
+        weights = WeightSet(config=config, **{
+            field: aligned_empty(shape, np.result_type(*dtypes[field]).newbyteorder("="))
+            for field, shape in tensor_shapes(config).items()
+        })
+        matrices = weights.named_tensors()
+        crc = pos = 0
+        for name, (dtype, offset, length) in entries.items():  # offset order
+            crc = _skip(f, offset - pos, crc)
+            matrix = matrices[name]
+            # A field stored little-endian at its own dtype is read in place;
+            # otherwise (mixed dtypes, a big-endian host) through a buffer.
+            buf = matrix if matrix.dtype == dtype else np.empty(matrix.shape, dtype)
+            view = buf.reshape(-1).view(np.uint8)  # the same memory, as bytes
+            _read_exactly(f, view)
+            crc = zlib.crc32(view, crc)
+            if buf is not matrix:
+                matrix[...] = buf
+            pos = offset + length
+        crc = _skip(f, size - 8 - header_len - pos, crc)
+    if header.get("checksum") != crc & 0xFFFFFFFF:
+        raise ArchiveError("checksum mismatch: blob corrupted")
+    return weights
+
+
+def _validate(header: dict, blob_len: int
+              ) -> tuple[AttentionConfig, dict[str, tuple[np.dtype, int, int]]]:
+    """The header's config, and its manifest as name -> (dtype, offset,
+    length) in offset order, once the version, every manifest entry and the
+    config's layout have been checked; the blob itself is not read."""
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise ArchiveError(
@@ -109,14 +194,15 @@ def read_archive(path) -> WeightSet:
     if not isinstance(manifest, list):
         raise ArchiveError("manifest missing or not a list")
     prev_end = 0
-    tensors: dict[str, np.ndarray] = {}
+    entries: dict[str, tuple[np.dtype, int, int]] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
     for entry in manifest:
         if not isinstance(entry, dict):
             raise ArchiveError(f"manifest entry is not an object: {entry!r}")
         name = entry.get("name")
         if not isinstance(name, str):
             raise ArchiveError(f"manifest entry without a valid name: {entry!r}")
-        if name in tensors:
+        if name in entries:
             raise ArchiveError(f"duplicate tensor name: {name}")
         code = entry.get("dtype")
         if not isinstance(code, str) or code not in _DTYPE_CODES:
@@ -128,8 +214,7 @@ def read_archive(path) -> WeightSet:
         offset, length = entry.get("offset"), entry.get("length")
         if not isinstance(offset, int) or not isinstance(length, int) or offset < 0:
             raise ArchiveError(f"tensor {name}: invalid offset/length")
-        count = math.prod(shape)
-        if length != count * dtype.itemsize:
+        if length != math.prod(shape) * dtype.itemsize:
             raise ArchiveError(
                 f"tensor {name}: length {length} does not match shape {tuple(shape)} "
                 f"at {dtype.itemsize} bytes/element"
@@ -137,41 +222,23 @@ def read_archive(path) -> WeightSet:
         if offset < prev_end:
             raise ArchiveError(f"tensor {name}: offset {offset} overlaps previous tensor")
         prev_end = offset + length
-        if prev_end > len(blob):
+        if prev_end > blob_len:
             raise ArchiveError(f"truncated blob: tensor {name} extends past end of file")
-        tensors[name] = np.frombuffer(blob, dtype=dtype, count=count,
-                                      offset=offset).reshape(shape)
-
-    stored = header.get("checksum")
-    if stored != (zlib.crc32(blob) & 0xFFFFFFFF):
-        raise ArchiveError("checksum mismatch: blob corrupted")
+        entries[name] = (dtype, offset, length)
+        shapes[name] = tuple(shape)
 
     # Counts first: the header is unchecked, its config may claim 10^6 heads.
-    shapes = tensor_shapes(config)
-    count = sum(shape[0] if len(shape) == 3 else 1 for shape in shapes.values())
-    if len(tensors) != count:
+    count = sum(shape[0] if len(shape) == 3 else 1 for shape in tensor_shapes(config).values())
+    if len(entries) != count:
         raise ArchiveError(
-            f"manifest lists {len(tensors)} tensors, the config's layout has {count}")
+            f"manifest lists {len(entries)} tensors, the config's layout has {count}")
     expected = flat_shapes(config)
-    missing = sorted(set(expected) - set(tensors))
+    missing = sorted(set(expected) - set(entries))
     if missing:  # as many names are unexpected: the counts are equal
-        extra = sorted(set(tensors) - set(expected))
+        extra = sorted(set(entries) - set(expected))
         raise ArchiveError(f"missing tensors ({len(missing)}): {', '.join(missing[:8])}; "
                            f"unexpected tensors: {', '.join(extra[:8])}")
     for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise ArchiveError(
-                f"tensor {name}: shape {tensors[name].shape}, expected {shape}"
-            )
-
-    # One aligned buffer per field, in host byte order, filled by flat name.
-    dtypes: dict[str, list[np.dtype]] = {}
-    for name, arr in tensors.items():
-        dtypes.setdefault(name.partition(".")[0], []).append(arr.dtype)
-    weights = WeightSet(config=config, **{
-        field: aligned_empty(shape, np.result_type(*dtypes[field]).newbyteorder("="))
-        for field, shape in shapes.items()
-    })
-    for name, matrix in weights.named_tensors().items():
-        matrix[...] = tensors[name]
-    return weights
+        if shapes[name] != shape:
+            raise ArchiveError(f"tensor {name}: shape {shapes[name]}, expected {shape}")
+    return config, entries

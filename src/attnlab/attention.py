@@ -1,7 +1,7 @@
 """Causal multi-head attention forward pass, mechanism-agnostic.
 
 The forward pass never branches on the mechanism: it asks
-``effective_kv_weights`` for the K/V weight stacks, projects the whole
+``effective_weights`` for the K and the V weight stacks, projects the whole
 sequence for all heads at once and runs standard scaled-dot-product
 attention on top, one row of every head's scores per step. Heads are
 concatenated in head order; there is no output projection and no biases.
@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import AttentionConfig
 from .errors import DimensionError
-from .weights import WeightSet, effective_kv_weights
+from .weights import WeightSet, effective_weights
 
 RMSNORM_EPS = 1e-6
 
@@ -61,7 +61,8 @@ def forward_attention(
         raise DimensionError(f"X has width {d}, config.d={config.d}")
     H, d_h = config.H, config.d_h
     Q = X @ w.wq  # (H, T, d_h)
-    K, V = (X @ W for W in effective_kv_weights(w, config))  # head h reads gqa_group(h, H, n)
+    # head h reads gqa_group(h, H, n); each weight stack is freed once projected
+    K, V = (X @ effective_weights(w, config, path) for path in "kv")
     n = K.shape[0]
     if config.qk_norm:
         Q = rmsnorm(Q)

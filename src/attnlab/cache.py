@@ -16,14 +16,14 @@ model-width (row) axis replaced by the capacity.
 
 Two decode paths are provided. ``decode_explicit`` reconstructs each head's
 full K/V over the cached prefix and runs ordinary attention — the reference
-semantics. It expands the cached rows with ``effective_kv_weights``, the
-expansion that also gives the K/V weights: a stream's rows are X times its
-weight, so their expansion is X times the expanded weight. ``decode_factored``
-(low-rank and latent mechanisms only) gets identical logits and outputs
-without ever forming a (T, d_h) per-head matrix, by pushing the query and
-the attention weights through the small factors instead. The two paths are
-algebraically equal; floating point leaves differences at the 1e-9 level
-(float64) for prefixes up to 4096.
+semantics. It expands the cached rows with ``effective_weights``, K and V
+one call each, the expansion that also gives the K/V weights: a stream's rows
+are X times its weight, so their expansion is X times the expanded weight.
+``decode_factored`` (low-rank and latent mechanisms only) gets identical
+logits and outputs without ever forming a (T, d_h) per-head matrix, by
+pushing the query and the attention weights through the small factors
+instead. The two paths are algebraically equal; floating point leaves
+differences at the 1e-9 level (float64) for prefixes up to 4096.
 
 Both paths batch the heads: the step's queries are one (H, d_h) block, and
 each cached stream (a K/V group, the shared K/V, Z, the stacked latents) is
@@ -77,7 +77,7 @@ from .errors import (
     NumericalError,
     UnsupportedModeError,
 )
-from .weights import WeightSet, effective_kv_weights, init_weights, tensor_shapes
+from .weights import WeightSet, effective_weights, init_weights, tensor_shapes
 
 _MASK64 = (1 << 64) - 1
 
@@ -293,8 +293,9 @@ def decode_explicit(
     t = cache.length
     try:
         H, d_h = config.H, config.d_h
-        K, V = effective_kv_weights(
-            w, config, lambda name: cache.streams[name][..., :t, :])
+        K, V = (effective_weights(w, config, path,
+                                  lambda name: cache.streams[name][..., :t, :])
+                for path in "kv")
         if K.base is None:  # reconstructed, not views of the cache: MLA, LRKV at r > 0
             K, V = _note("explicit.k_head", K), _note("explicit.v_head", V)
         n = K.shape[0]

@@ -7,7 +7,8 @@ A_h, never on raw projection factors.
 
 The forms are d x d and never need to be materialized to compare them.
 ``BilinearFormSet`` keeps their factors as two (H, d, d_h) stacks, Wq and
-each head's slice of the ``effective_kv_weights`` expansion, and
+each head's slice of the ``effective_weights`` expansion of K (V is never
+built), and
 
     <A_i, A_j>_F = tr((W_i^K)^T W_j^K (W_j^Q)^T W_i^Q)
 
@@ -36,7 +37,7 @@ from .errors import (
     ParameterError,
 )
 from .jacobi import jacobi_eigh
-from .weights import WeightSet, effective_kv_weights, gqa_group
+from .weights import WeightSet, effective_weights, gqa_group
 
 # Eigenvalues of a PSD Gram this far below zero are roundoff; further is not.
 EIGENVALUE_CLIP = -1e-10
@@ -91,11 +92,17 @@ class SpectrumReport:
     degenerate: bool = False
 
 
+def _per_head(stack: np.ndarray, H: int) -> np.ndarray:
+    """An expanded K or V stack with one slice per head: a shared or grouped
+    stack's slices are gathered by ``gqa_group``."""
+    if len(stack) == H:
+        return stack
+    return stack[gqa_group(np.arange(H), H, len(stack))]
+
+
 def bilinear_forms(w: WeightSet, config: AttentionConfig) -> BilinearFormSet:
     """Stack each head's (Wq, effective W^K) factor pair."""
-    wk, _ = effective_kv_weights(w, config)
-    if len(wk) != config.H:  # shared or grouped K/V: one slice per head
-        wk = wk[gqa_group(np.arange(config.H), config.H, len(wk))]
+    wk = _per_head(effective_weights(w, config, "k"), config.H)
     finite = np.isfinite(w.wq).all(axis=(1, 2)) & np.isfinite(wk).all(axis=(1, 2))
     if not finite.all():
         raise NumericalError(
@@ -315,9 +322,8 @@ def factorization_gap(
         )
     if r is None:
         r = config.r
-    heads = np.arange(config.H)
-    learned = np.concatenate([stack[gqa_group(heads, config.H, len(stack))]
-                              for stack in effective_kv_weights(w, config)])
+    learned = np.concatenate([_per_head(effective_weights(w, config, path), config.H)
+                              for path in "kv"])
     targets = np.concatenate((reference.wk, reference.wv))
     D = np.concatenate((reference.wk - w.wk_shared, reference.wv - w.wv_shared))
     _, _, e_opt = svd_truncate(D, r)

@@ -16,8 +16,8 @@ K/V head (``residual_rank``), so at r = 0 it is MQA.
 
 The LRKV residual keeps the projection shape (d, d_h): Uk[h] is (d, r) and
 Bk[h] is (d_h, r), so Uk[h] @ Bk[h].T is a (d, d_h) update of rank <= r.
-``effective_kv_weights`` expands every head's K/V, from the weights or from
-a decode cache's rows.
+``effective_weights`` expands every head's K or V, from the weights or from
+a decode cache's rows, one path per call.
 
 ``tensor_shapes`` is the one layout table: each populated WeightSet field and
 its shape, in draw order, which is also archive order. Per-head and per-group
@@ -195,15 +195,14 @@ def init_weights(config: AttentionConfig, rng: RngSpec) -> WeightSet:
     """
     gen = np.random.Generator(np.random.PCG64(rng.seed))
 
-    def draw(shape: tuple[int, ...], scale: float) -> np.ndarray:
-        out = aligned_empty(shape)
+    def draw(out: np.ndarray, scale: float) -> np.ndarray:
         gen.standard_normal(out=out)
         out *= scale
         return out
 
     shapes = tensor_shapes(config)
     tensors = {
-        name: draw(shape, np.sqrt(2.0 / shape[-2]))
+        name: draw(aligned_empty(shape), np.sqrt(2.0 / shape[-2]))
         for name, shape in shapes.items()
         if name not in ("uk", "bk", "uv", "bv")  # LRKV's factors: drawn in pairs below
     }
@@ -215,21 +214,29 @@ def init_weights(config: AttentionConfig, rng: RngSpec) -> WeightSet:
                                    ("uv", "bv", tensors["wv_shared"])):
         us = aligned_empty(shapes[u_name])  # every slice is written below
         bs = aligned_empty(shapes[b_name])  # (r = 0: the stacks are empty)
+        target = RESIDUAL_INIT_FRACTION * np.linalg.norm(shared)
         for h in range(config.H if r > 0 else 0):  # r = 0: empty factors, no draws
-            u = draw(us.shape[1:], np.sqrt(2.0 / config.d))
-            bs[h] = draw(bs.shape[1:], np.sqrt(1.0 / r))
+            u = draw(us[h], np.sqrt(2.0 / config.d))
+            draw(bs[h], np.sqrt(1.0 / r))
             # Rescale U (only U) so the residual magnitude is exact, not approximate.
-            res_norm = np.linalg.norm(u @ bs[h].T)
-            target = RESIDUAL_INIT_FRACTION * np.linalg.norm(shared)
-            us[h] = u * (target / res_norm)
+            u *= target / np.linalg.norm(u @ bs[h].T)
         tensors[u_name], tensors[b_name] = us, bs
     return WeightSet(config=config, **tensors)
 
 
-def effective_kv_weights(
-    w: WeightSet, config: AttentionConfig, rows: Callable[[str], np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """K and V of every head as (n, rows, d_h) stacks: the one K/V expansion.
+def _check_path(path: str) -> None:
+    if path not in ("k", "v"):
+        raise DimensionError(f"path must be 'k' or 'v', got {path!r}")
+
+
+def effective_weights(
+    w: WeightSet,
+    config: AttentionConfig,
+    path: str,
+    rows: Callable[[str], np.ndarray] | None = None,
+) -> np.ndarray:
+    """K (``path`` "k") or V ("v") of every head as an (n, rows, d_h) stack:
+    the one K/V expansion, one path per call.
 
     Head h reads slice ``gqa_group(h, H, n)``; n is H where each head has
     its own K/V (MHA, MLA, LRKV at r > 0), G for GQA and 1 for one shared
@@ -239,17 +246,18 @@ def effective_kv_weights(
     ``uk``, ...); only the streams the taken branch reads are asked for.
     Stored streams come back as views, so complete sharing is bitwise
     identical to MQA; reconstructed heads (MLA, LRKV at r > 0) are fresh.
+    A caller that needs only K (``bilinear_forms``) never builds V.
     """
+    _check_path(path)
     rows = rows or (lambda name: getattr(w, name))
     if config.mechanism is Mechanism.MLA:
-        Z = rows("wdown")
-        return Z @ w.wup_k, Z @ w.wup_v
+        return rows("wdown") @ getattr(w, f"wup_{path}")
     if residual_rank(config) > 0:  # the base is added in place: one stack allocated
-        K, V = rows("uk") @ w.bk.transpose(0, 2, 1), rows("uv") @ w.bv.transpose(0, 2, 1)
-        return np.add(K, rows("wk_shared"), out=K), np.add(V, rows("wv_shared"), out=V)
+        out = rows(f"u{path}") @ getattr(w, f"b{path}").transpose(0, 2, 1)
+        return np.add(out, rows(f"w{path}_shared"), out=out)
     if w.wk is None:  # one shared K/V head: MQA, LRKV at r = 0
-        return rows("wk_shared")[None], rows("wv_shared")[None]
-    return rows("wk"), rows("wv")  # per-group K/V: MHA (G = H), GQA
+        return rows(f"w{path}_shared")[None]
+    return rows(f"w{path}")  # per-group K/V: MHA (G = H), GQA
 
 
 def projection_backward(
@@ -272,12 +280,8 @@ def projection_backward(
     ``path`` selects the K or V factor stacks (the structure is identical).
     """
     require_mechanism(config, "projection_backward", Mechanism.LRKV)
-    if path == "k":
-        U, B = w.uk, w.bk
-    elif path == "v":
-        U, B = w.uv, w.bv
-    else:
-        raise DimensionError(f"path must be 'k' or 'v', got {path!r}")
+    _check_path(path)
+    U, B = getattr(w, f"u{path}"), getattr(w, f"b{path}")
     X = np.asarray(X)
     dK = np.asarray(dK)
     if X.ndim != 2:

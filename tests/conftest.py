@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,23 @@ def _per_head_kv(w, config, h):
         return w.wk_shared, w.wv_shared
     g = gqa_group(h, config.H, len(w.wk))
     return w.wk[g], w.wv[g]
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the bytes its call allocated at its peak, above
+    what was allocated when it started, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak
 
 
 @pytest.fixture

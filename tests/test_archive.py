@@ -409,3 +409,102 @@ def test_empty_path_is_named_as_given(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert "''" in err and "Is a directory" not in err, (argv, err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.bin"]
+
+
+def test_header_length_past_end_of_file_is_not_allocated(tmp_path, traced_peak):
+    p = tmp_path / "w.bin"
+    p.write_bytes(struct.pack("<Q", 1 << 40) + b"{}" * 100)
+    info, peak = traced_peak(lambda: pytest.raises(ArchiveError, read_archive, p))
+    assert info.match("header shorter than declared")
+    assert peak < 64 * 1024
+
+
+def test_huge_claimed_shape_fails_before_any_allocation(tmp_path, traced_peak):
+    """A consistent manifest for d = 2**31 in a 1 KB file: every length
+    matches its shape and the offsets abut, so only the file's size stops it."""
+    d = d_h = 2**31
+    config = cfg(Mechanism.MQA, d=d, H=1, d_h=d_h)
+    length = d * d_h * 8
+    header = {
+        "format_version": 1, "checksum": 0, "config": config.to_json_dict(),
+        "tensors": [{"name": name, "dtype": "f64", "shape": [d, d_h],
+                     "offset": i * length, "length": length}
+                    for i, name in enumerate(("wq.0", "wk_shared", "wv_shared"))],
+    }
+    raw = json.dumps(header).encode()
+    p = tmp_path / "w.bin"
+    p.write_bytes(struct.pack("<Q", len(raw)) + raw + bytes(1024 - 8 - len(raw)))
+    assert p.stat().st_size == 1024
+    info, peak = traced_peak(lambda: pytest.raises(ArchiveError, read_archive, p))
+    assert info.match("wq.0 extends past end")
+    assert peak < 64 * 1024
+
+
+def _write_with_gap_and_tail(w, p, gap, tail):
+    """Archive ``w`` with ``gap`` between its first two tensors and ``tail``
+    after the last, checksummed over the whole blob."""
+    write_archive(w, p)
+    data = p.read_bytes()
+    (n,) = struct.unpack("<Q", data[:8])
+    header = json.loads(data[8 : 8 + n])
+    blob = data[8 + n :]
+    cut = header["tensors"][1]["offset"]
+    for entry in header["tensors"][1:]:
+        entry["offset"] += len(gap)
+    blob = blob[:cut] + gap + blob[cut:] + tail
+    header["checksum"] = zlib.crc32(blob) & 0xFFFFFFFF
+    raw = json.dumps(header).encode()
+    p.write_bytes(struct.pack("<Q", len(raw)) + raw + blob)
+    return 8 + len(raw) + cut  # the gap's first byte in the file
+
+
+def test_gap_and_trailing_bytes_read_back_and_are_checksummed(tmp_path):
+    config = cfg(Mechanism.LRKV, r=3)
+    w = init_weights(config, RngSpec(seed=16))
+    p = tmp_path / "w.bin"
+    gap_at = _write_with_gap_and_tail(w, p, b"\x01" * 13, b"\x02" * 7)
+    again = read_archive(p)
+    for field in tensor_shapes(config):
+        assert getattr(again, field).tobytes() == getattr(w, field).tobytes(), field
+        assert getattr(again, field).ctypes.data % ALIGNMENT == 0, field
+    whole = p.read_bytes()
+    for i in (gap_at, gap_at + 12, len(whole) - 7, len(whole) - 1):
+        flipped = bytearray(whole)
+        flipped[i] ^= 0xFF
+        p.write_bytes(bytes(flipped))
+        with pytest.raises(ArchiveError, match="checksum"):
+            read_archive(p)
+
+
+def test_corrupt_and_mislaid_archive_names_the_layout(tmp_path):
+    """Layout is checked before the checksum: both faults name the layout."""
+    p = tmp_path / "w.bin"
+    write_archive(init_weights(cfg(Mechanism.MQA), RngSpec(seed=17)), p)
+
+    def corrupt(blob):
+        blob[3] ^= 0xFF
+
+    rewrite_header(p, lambda h: h["tensors"][-1].update(name="wz_shared"), corrupt)
+    with pytest.raises(ArchiveError, match="missing tensors"):
+        read_archive(p)
+
+
+# Large enough that fixed costs (the header, its parse) are small beside it.
+PAYLOAD_CONFIG = cfg(Mechanism.LRKV, d=256, H=4, d_h=64, r=16)
+
+
+def test_read_peak_is_one_copy_of_the_payload(tmp_path, traced_peak):
+    w = init_weights(PAYLOAD_CONFIG, RngSpec(seed=18))
+    payload = sum(t.nbytes for t in w.named_tensors().values())
+    p = tmp_path / "w.bin"
+    write_archive(w, p)
+    again, peak = traced_peak(read_archive, p)
+    assert again.wq.tobytes() == w.wq.tobytes()
+    assert peak <= 1.1 * payload, peak / payload
+
+
+def test_write_peak_holds_no_copy_of_the_payload(tmp_path, traced_peak):
+    w = init_weights(PAYLOAD_CONFIG, RngSpec(seed=19))
+    payload = sum(t.nbytes for t in w.named_tensors().values())
+    _, peak = traced_peak(write_archive, w, tmp_path / "w.bin")
+    assert peak <= 0.1 * payload, peak / payload

@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -393,7 +392,7 @@ def test_nonfinite_append_writes_nothing(mechanism, kw):
 @pytest.mark.parametrize("mechanism,kw", [
     (Mechanism.LRKV, {"r": 8}), (Mechanism.MLA, {"d_c": 16}),
 ], ids=["lrkv", "mla"])
-def test_factored_step_peak_memory_is_below_one_head_matrix(mechanism, kw):
+def test_factored_step_peak_memory_is_below_one_head_matrix(mechanism, kw, traced_peak):
     """Measured by tracemalloc, not by the hook: a factored step at t = 2048
     allocates less than one (t, d_h) float64 matrix; the explicit step on the
     same cache allocates more (the positive control)."""
@@ -404,13 +403,7 @@ def test_factored_step_peak_memory_is_below_one_head_matrix(mechanism, kw):
     head_matrix = cache.capacity * config.d_h * 8
 
     def step_peak(decode):
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            decode(cache, w, config, X[-1])
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(decode, cache, w, config, X[-1])
         cache.length -= 1  # decode the same token again on the same prefix
         return peak
 

@@ -23,7 +23,7 @@ from attnlab import (
 )
 from attnlab.diversity import BilinearFormSet, GramMatrix
 from attnlab.presets import config_for
-from attnlab.weights import effective_kv_weights, gqa_group
+from attnlab.weights import effective_weights, gqa_group
 
 
 def cfg(mechanism=Mechanism.LRKV, *, d=96, H=4, d_h=24, **kw):
@@ -418,7 +418,7 @@ def per_head_factorization_gap(w, config, reference, r):
     reference for the stacked call."""
     rows = []
     paths = zip("kv", (reference.wk, reference.wv), (w.wk_shared, w.wv_shared),
-                effective_kv_weights(w, config))
+                (effective_weights(w, config, path) for path in "kv"))
     for path, refs, shared, learned_stack in paths:
         for h in range(config.H):
             target = refs[h]
@@ -452,3 +452,14 @@ def test_factorization_gap_equals_the_per_head_loop_at_128m():
     rows = factorization_gap(w, config, ref)
     assert len(rows) == 2 * config.H
     assert rows == per_head_factorization_gap(w, config, ref, config.r)
+
+
+def test_bilinear_forms_builds_only_the_k_stack(traced_peak):
+    """An lrkv set's forms allocate one (H, d, d_h) K stack and its finite
+    screen; V is never expanded."""
+    config = cfg(d=256, H=4, d_h=64, r=16)
+    w = init_weights(config, RngSpec(seed=20))
+    forms, peak = traced_peak(bilinear_forms, w, config)
+    stack = config.H * config.d * config.d_h * 8
+    assert forms.wk.nbytes == stack
+    assert peak <= 1.5 * stack, peak / stack

@@ -7,7 +7,7 @@ from attnlab import (
     Mechanism,
     RngSpec,
     UnsupportedMechanismError,
-    effective_kv_weights,
+    effective_weights,
     gqa_group,
     init_weights,
     prefill,
@@ -77,7 +77,7 @@ def test_lrkv_rank_zero_factors_are_empty():
     c = cfg(Mechanism.LRKV, r=0)
     w = init_weights(c, RngSpec(seed=0))
     assert w.uk[0].shape == (c.d, 0) and w.bk[0].shape == (c.d_h, 0)
-    K, V = effective_kv_weights(w, c)
+    K, V = (effective_weights(w, c, path) for path in "kv")
     # complete sharing: the shared arrays themselves, no residual add
     assert _same_view(K[0], w.wk_shared) and _same_view(V[0], w.wv_shared)
 
@@ -106,46 +106,56 @@ def _is_stored(c):
 @EXPANSION_DTYPES
 @pytest.mark.parametrize("mechanism,kw", EXPANSION_CASES, ids=EXPANSION_IDS)
 def test_kv_expansion_of_weights_matches_per_head_formulas(mechanism, kw, dtype, per_head_kv):
-    """Slice gqa_group(h) of the expanded stacks is head h's K/V weight bit
-    for bit; stored weights come back as views of the stored arrays."""
+    """For each path, slice gqa_group(h) of the expanded stack is head h's
+    K (or V) weight bit for bit; stored weights come back as views of the
+    stored arrays."""
     c = cfg(mechanism, **kw)
     w = init_weights(c, RngSpec(seed=1)).astype(dtype)
-    K, V = effective_kv_weights(w, c)
     n = kv_heads(c) if _is_stored(c) else c.H
-    assert K.shape == V.shape == (n, c.d, c.d_h)
-    assert K.dtype == V.dtype == dtype
-    for h in range(c.H):
-        g = gqa_group(h, c.H, n)
-        ref_k, ref_v = per_head_kv(w, c, h)
-        assert K[g].tobytes() == ref_k.tobytes(), h
-        assert V[g].tobytes() == ref_v.tobytes(), h
-        if _is_stored(c):
-            assert _same_view(K[g], ref_k) and _same_view(V[g], ref_v), h
-    if not _is_stored(c):  # reconstructed heads are fresh arrays
-        for t in w.named_tensors().values():
-            assert not np.shares_memory(K, t) and not np.shares_memory(V, t)
+    for i, path in enumerate("kv"):
+        W = effective_weights(w, c, path)
+        assert W.shape == (n, c.d, c.d_h), path
+        assert W.dtype == dtype, path
+        for h in range(c.H):
+            g = gqa_group(h, c.H, n)
+            ref = per_head_kv(w, c, h)[i]
+            assert W[g].tobytes() == ref.tobytes(), (path, h)
+            if _is_stored(c):
+                assert _same_view(W[g], ref), (path, h)
+        if not _is_stored(c):  # reconstructed heads are fresh arrays
+            for t in w.named_tensors().values():
+                assert not np.shares_memory(W, t), path
 
 
 @EXPANSION_DTYPES
 @pytest.mark.parametrize("mechanism,kw", EXPANSION_CASES, ids=EXPANSION_IDS)
 def test_kv_expansion_of_cached_rows_matches_expanded_weights(mechanism, kw, dtype):
-    """Expanding a prefilled cache's rows gives X @ the expanded weights;
-    stored streams come back as views of the cache."""
+    """For each path, expanding a prefilled cache's rows gives X @ the
+    expanded weights; stored streams come back as views of the path's own
+    stream of the cache."""
     c = cfg(mechanism, **kw)
     w = init_weights(c, RngSpec(seed=2)).astype(dtype)
     X = np.random.default_rng(7).standard_normal((9, c.d)).astype(dtype)
     cache = prefill(w, c, X, capacity=12)
-    K, V = effective_kv_weights(
-        w, c, lambda name: cache.streams[name][..., :cache.length, :])
-    Kw, Vw = effective_kv_weights(w, c)
     tol = 1e-12 if dtype is np.float64 else 1e-5
-    for got, weights in ((K, Kw), (V, Vw)):
-        ref = X @ weights
-        assert got.shape == ref.shape and got.dtype == dtype
-        assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
-    # stored: K views the K stream and V the V stream; reconstructed: no views
-    views = [np.shares_memory(a, b) for a in (K, V) for b in cache.streams.values()]
-    assert views.count(True) == (2 if _is_stored(c) else 0)
+    for path in "kv":
+        got = effective_weights(
+            w, c, path, lambda name: cache.streams[name][..., :cache.length, :])
+        ref = X @ effective_weights(w, c, path)
+        assert got.shape == ref.shape and got.dtype == dtype, path
+        assert np.abs(got - ref).max() <= tol * np.abs(ref).max(), path
+        # stored: K views the K stream and V the V stream; reconstructed: no views
+        views = [name for name, rows in cache.streams.items() if np.shares_memory(got, rows)]
+        if _is_stored(c):
+            assert len(views) == 1 and views[0].startswith(f"w{path}"), views
+        else:
+            assert views == [], path
+
+
+def test_expansion_rejects_an_unknown_path():
+    c = cfg(Mechanism.MQA)
+    with pytest.raises(DimensionError, match="path"):
+        effective_weights(init_weights(c, RngSpec(seed=0)), c, "q")
 
 
 def test_gqa_group_mapping():
