@@ -476,6 +476,31 @@ def test_gap_and_trailing_bytes_read_back_and_are_checksummed(tmp_path):
             read_archive(p)
 
 
+def test_mixed_dtype_field_reads_at_the_wider_dtype(tmp_path):
+    """wq.0 stored as f32 beside an f64 wq.1: the wq field is f64, and the
+    f32 matrix is read through a buffer of its own dtype."""
+    w = init_weights(cfg(Mechanism.MQA), RngSpec(seed=23))
+    p = tmp_path / "w.bin"
+    write_archive(w, p)
+    data = p.read_bytes()
+    (n,) = struct.unpack("<Q", data[:8])
+    header = json.loads(data[8 : 8 + n])
+    first = header["tensors"][0]
+    narrow = w.wq[0].astype("<f4").tobytes()
+    blob = narrow + data[8 + n + first["length"] :]
+    for entry in header["tensors"][1:]:
+        entry["offset"] -= first["length"] - len(narrow)
+    first.update(dtype="f32", length=len(narrow))
+    header["checksum"] = zlib.crc32(blob) & 0xFFFFFFFF
+    raw = json.dumps(header).encode()
+    p.write_bytes(struct.pack("<Q", len(raw)) + raw + blob)
+    again = read_archive(p)
+    assert again.wq.dtype == np.float64 and again.wq.ctypes.data % ALIGNMENT == 0
+    assert np.array_equal(again.wq[0], w.wq[0].astype(np.float32))
+    assert again.wq[1].tobytes() == w.wq[1].tobytes()
+    assert again.wk_shared.tobytes() == w.wk_shared.tobytes()
+
+
 def test_corrupt_and_mislaid_archive_names_the_layout(tmp_path):
     """Layout is checked before the checksum: both faults name the layout."""
     p = tmp_path / "w.bin"
