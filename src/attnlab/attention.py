@@ -22,11 +22,11 @@ from .weights import WeightSet, effective_weights
 RMSNORM_EPS = 1e-6
 
 
-def rmsnorm(x: np.ndarray, eps: float = RMSNORM_EPS) -> np.ndarray:
+def rmsnorm(x: np.ndarray) -> np.ndarray:
     """Root-mean-square normalization along the last axis (no learned gain)."""
     x = np.asarray(x)
     ms = np.mean(np.square(x), axis=-1, keepdims=True)
-    return x / np.sqrt(ms + eps)
+    return x / np.sqrt(ms + RMSNORM_EPS)
 
 
 def softmax_row(scores: np.ndarray) -> np.ndarray:

@@ -69,10 +69,9 @@ from typing import Callable
 import numpy as np
 
 from .attention import rmsnorm, softmax_row
-from .config import AttentionConfig, Mechanism, RngSpec, require_mechanism
+from .config import AttentionConfig, Mechanism, RngSpec, require_int, require_mechanism
 from .errors import (
     CapacityError,
-    ConfigurationError,
     DimensionError,
     NumericalError,
     UnsupportedModeError,
@@ -115,15 +114,18 @@ def _note(tag: str, a: np.ndarray) -> np.ndarray:
 class DecodeCache:
     """Preallocated per-layer decode cache for one mechanism.
 
-    Buffers are allocated once at ``capacity`` rows and filled up to
-    ``length``; ``streams`` maps each stream weight of the mechanism to its
-    buffer. Single writer; reads between appends are safe.
+    ``streams`` maps each stream weight of the mechanism to its buffer,
+    allocated once with ``capacity`` rows (its row count) and filled up to
+    ``length``. Single writer; reads between appends are safe.
     """
 
-    config: AttentionConfig
-    capacity: int
     streams: dict[str, np.ndarray]  # e.g. "wk": (H, cap, d_h), "wdown": (cap, d_c)
     length: int = 0
+
+    @property
+    def capacity(self) -> int:
+        """Rows each buffer holds: the tokens the cache has room for."""
+        return next(iter(self.streams.values())).shape[-2]
 
     def payload_elements(self) -> int:
         """Elements held by the cache buffers (at full capacity)."""
@@ -157,9 +159,8 @@ class DecodeStepOutput:
 
 def empty_cache(config: AttentionConfig, capacity: int, dtype=np.float64) -> DecodeCache:
     """Allocate an all-zero cache with room for ``capacity`` tokens."""
-    if capacity < 0:
-        raise ConfigurationError(f"capacity must be >= 0, got {capacity}")
-    return DecodeCache(config=config, capacity=capacity, streams={
+    capacity = require_int("capacity", capacity, 0)
+    return DecodeCache(streams={
         name: np.zeros((*heads, capacity, cols), dtype=dtype)
         for name, (*heads, _, cols) in tensor_shapes(config).items() if name in STREAMS
     })
@@ -247,8 +248,7 @@ def prefill(
     if X.ndim != 2 or X.shape[1] != config.d:
         raise DimensionError(f"X must be (T, {config.d}), got shape {X.shape}")
     T = X.shape[0]
-    if capacity is None:
-        capacity = T
+    capacity = T if capacity is None else require_int("capacity", capacity, 0)
     if capacity < T:
         raise CapacityError(f"capacity {capacity} < prompt length {T}")
     cache = empty_cache(config, capacity, dtype=X.dtype if dtype is None else dtype)
@@ -393,10 +393,7 @@ def equivalence_report(
 
     Returns one dict per trial, ready for CSV emission.
     """
-    if T < 1:
-        raise ConfigurationError(f"T must be >= 1, got {T}")
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    T, trials = require_int("T", T, 1), require_int("trials", trials, 1)
     has_factored = config.mechanism in FACTORED
     rows: list[dict] = []
     shapes: list[tuple] = []

@@ -37,7 +37,7 @@ from functools import cache
 import numpy as np
 
 from .cache import equivalence_report
-from .config import AttentionConfig, Mechanism, RngSpec
+from .config import AttentionConfig, Mechanism, RngSpec, require_int
 from .costs import (
     DEFAULT_MLA_STREAMS,
     MIB,
@@ -290,6 +290,8 @@ def _cmd_diversity(args) -> int:
 def _cmd_svd_compare(args) -> int:
     w = read_archive(args.weights)
     ref = read_archive(args.reference)
+    if args.rank is not None:  # svd_truncate's range, as a usage error
+        require_int("--rank", args.rank, 0, w.config.d_h)
     rows = factorization_gap(w, w.config, ref, r=args.rank)
     header = ["head", "path", "e_learned", "e_opt", "ratio"]
     out_rows = [

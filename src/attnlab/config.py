@@ -10,6 +10,7 @@ legal because nothing will ever look at it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -44,9 +45,20 @@ def require_mechanism(config: AttentionConfig, operation: str, *allowed: Mechani
         )
 
 
-def _is_int(v) -> bool:
-    """An int that is not a bool: ``True`` is an int to Python, never a width."""
-    return isinstance(v, int) and not isinstance(v, bool)
+def require_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int in [lo, hi] (``hi`` None: unbounded), else a
+    ConfigurationError naming ``name``. Rejects bools (``True`` is never a
+    size); a numpy integer comes back as a Python int, for callers to store."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        v = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an int, got {value!r}") from None
+    if v < lo or (hi is not None and v > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigurationError(f"{name} must be {bound}, got {v}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -79,33 +91,20 @@ class AttentionConfig:
         if not isinstance(self.mechanism, Mechanism):
             object.__setattr__(self, "mechanism", Mechanism.parse(str(self.mechanism)))
         for name in ("d", "H", "d_h", "n_layers"):
-            v = getattr(self, name)
-            if not _is_int(v) or v < 1:
-                raise ConfigurationError(f"{name} must be a positive int, got {v!r}")
+            object.__setattr__(self, name, require_int(name, getattr(self, name), 1))
         if self.d != self.H * self.d_h:
             raise ConfigurationError(
                 f"d must equal H * d_h: d={self.d}, H={self.H}, d_h={self.d_h}"
             )
         m = self.mechanism
         if m is Mechanism.GQA:
-            if not _is_int(self.G) or self.G < 1:
-                raise ConfigurationError(f"G must be a positive int, got {self.G!r}")
+            object.__setattr__(self, "G", require_int("G", self.G, 1))
             if self.H % self.G != 0:
-                raise ConfigurationError(
-                    f"GQA requires H mod G = 0: H={self.H}, G={self.G}"
-                )
+                raise ConfigurationError(f"GQA requires H mod G = 0: H={self.H}, G={self.G}")
         if m is Mechanism.LRKV:
-            if not _is_int(self.r) or self.r < 0:
-                raise ConfigurationError(f"r must be a non-negative int, got {self.r!r}")
-            if self.r > self.d:
-                raise ConfigurationError(
-                    f"LRKV requires r <= d: r={self.r}, d={self.d}"
-                )
+            object.__setattr__(self, "r", require_int("r", self.r, 0, self.d))
         if m is Mechanism.MLA:
-            if not _is_int(self.d_c) or not (1 <= self.d_c <= self.d):
-                raise ConfigurationError(
-                    f"MLA requires 1 <= d_c <= d: d_c={self.d_c!r}, d={self.d}"
-                )
+            object.__setattr__(self, "d_c", require_int("d_c", self.d_c, 1, self.d))
         if not isinstance(self.qk_norm, bool):
             raise ConfigurationError(f"qk_norm must be a bool, got {self.qk_norm!r}")
         if self.softmax_scale is None:
@@ -141,23 +140,11 @@ class AttentionConfig:
         return cls(**kwargs)
 
 
-RNG_ALGORITHM = "pcg64"
-
-
 @dataclass(frozen=True)
 class RngSpec:
-    """Seed plus generator tag; (seed, config) fully determines a WeightSet."""
+    """The seed of a PCG64 generator; (seed, config) fully determines a WeightSet."""
 
     seed: int
-    algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
-        if not _is_int(self.seed) or not (0 <= self.seed < 2**64):
-            raise ConfigurationError(
-                f"seed must be an unsigned 64-bit int, got {self.seed!r}"
-            )
-        if self.algorithm != RNG_ALGORITHM:
-            raise ConfigurationError(
-                f"unsupported rng algorithm {self.algorithm!r}; "
-                f"this build only provides {RNG_ALGORITHM!r}"
-            )
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0, 2**64 - 1))

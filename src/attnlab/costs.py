@@ -20,9 +20,10 @@ and echoed in CLI output:
       r/d_h + r/T, which converges to r/d_h for long prefixes.
 
 The number of latent streams the latent mechanism caches (one shared or
-separate K and V streams) is an accounting knob; two streams is the
-default. A DecodeCache always holds the single shared stream, so its
-``payload_nbytes`` matches single-stream queries.
+separate K and V streams) is an accounting knob of ``CostQuery``; two
+streams is the default, and the one ``cache_ratio`` prices. A DecodeCache
+always holds the single shared stream, so its ``payload_nbytes`` matches
+single-stream queries.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .config import AttentionConfig, Mechanism, require_mechanism
+from .config import AttentionConfig, Mechanism, require_int, require_mechanism
 from .errors import ConfigurationError
 from .weights import kv_heads, residual_rank, tensor_shapes
 
@@ -55,18 +56,13 @@ class CostQuery:
     mla_latent_streams: int = DEFAULT_MLA_STREAMS
 
     def __post_init__(self) -> None:
-        if self.T < 0:
-            raise ConfigurationError(f"T must be >= 0, got {self.T}")
-        if self.batch < 1:
-            raise ConfigurationError(f"batch must be >= 1, got {self.batch}")
+        for name, lo, hi in (("T", 0, None), ("batch", 1, None),
+                             ("bytes_per_element", 1, None), ("mla_latent_streams", 1, 2)):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), lo, hi))
         if self.bytes_per_element not in VALID_BYTES_PER_ELEMENT:
             raise ConfigurationError(
                 f"bytes_per_element must be one of {VALID_BYTES_PER_ELEMENT}, "
                 f"got {self.bytes_per_element}"
-            )
-        if self.mla_latent_streams not in (1, 2):
-            raise ConfigurationError(
-                f"mla_latent_streams must be 1 or 2, got {self.mla_latent_streams}"
             )
 
 
@@ -93,17 +89,16 @@ def cache_bytes(q: CostQuery) -> int:
     return 2 * n * (kv_heads(c) * c.d_h + c.H * residual_rank(c))
 
 
-def cache_ratio(
-    config: AttentionConfig, mla_latent_streams: int = DEFAULT_MLA_STREAMS
-) -> float:
+def cache_ratio(config: AttentionConfig) -> float:
     """Cache size relative to the full-cache baseline, in closed form.
 
     T, batch, and precision cancel, so this is a pure function of the
-    config: 1 for MHA, 1/H for MQA, G/H for GQA, streams*d_c/(2*H*d_h) for
-    the latent mechanism, and 1/H + r/d_h for the low-rank mechanism.
+    config: 1 for MHA, 1/H for MQA, G/H for GQA, d_c/(H*d_h) for the latent
+    mechanism (``DEFAULT_MLA_STREAMS`` = 2 streams of d_c against K and V),
+    and 1/H + r/d_h for the low-rank mechanism.
     """
     if config.mechanism is Mechanism.MLA:
-        return mla_latent_streams * config.d_c / (2.0 * config.H * config.d_h)
+        return DEFAULT_MLA_STREAMS * config.d_c / (2.0 * config.H * config.d_h)
     return kv_heads(config) / config.H + residual_rank(config) / config.d_h
 
 

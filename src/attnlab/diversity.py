@@ -13,9 +13,8 @@ built), and
     <A_i, A_j>_F = tr((W_i^K)^T W_j^K (W_j^Q)^T W_i^Q)
 
 turns each inner product into two d_h x d_h products, which is how ``gram``
-evaluates it, one row of the Gram (every j >= i) per pair of stacked products
-(``BilinearFormSet.form`` materializes one A_h for tests and small-d
-cross-checks).
+evaluates it, one row of the Gram (every j >= i) per pair of stacked products.
+Nothing here forms an A_h; a cross-check can, as ``wq[h] @ wk[h].T``.
 
 Spectral summaries follow the kernel-PCA recipe: cosine-normalize the Gram,
 double-center it, take the eigenvalues (round-robin Jacobi), and report the
@@ -54,10 +53,6 @@ class BilinearFormSet:
     @property
     def H(self) -> int:
         return self.wq.shape[0]
-
-    def form(self, h: int) -> np.ndarray:
-        """Materialize A_h = Wq[h] (W_h^K)^T as a d x d matrix."""
-        return self.wq[h] @ self.wk[h].T
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import AttentionConfig, Mechanism, RngSpec, require_mechanism
-from .errors import ConfigurationError
+from .config import AttentionConfig, Mechanism, RngSpec, require_int, require_mechanism
 from .weights import init_weights, projection_backward
 
 _MASK64 = (1 << 64) - 1
@@ -89,8 +88,7 @@ def gradcheck_rows(
     per-head-summed gradient.
     """
     require_mechanism(config, "gradcheck_rows", Mechanism.LRKV)
-    if instances < 1:
-        raise ConfigurationError(f"instances must be >= 1, got {instances}")
+    instances = require_int("instances", instances, 1)
     rows: list[dict] = []
     for instance in range(instances):
         inst_seed = (seed.seed + instance) & _MASK64

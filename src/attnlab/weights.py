@@ -121,8 +121,8 @@ class WeightSet:
 
     ``wq`` is always present, a (H, d, d_h) stack of per-head matrices.
     Exactly one mechanism payload is populated (see ``tensor_shapes``); the
-    rest stay None. A stacked field may also be passed as a sequence of
-    per-head matrices, which is stacked on construction. ``config``
+    rest stay None. A stacked field is one (n, rows, cols) array; build one
+    from per-head matrices with ``np.stack``. ``config``
     records the configuration the weights were generated for
     (serialization convenience; operations take their config explicitly).
     """
@@ -144,12 +144,6 @@ class WeightSet:
     wup_k: np.ndarray | None = None
     wup_v: np.ndarray | None = None
     config: AttentionConfig | None = None
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, (tuple, list)):
-                object.__setattr__(self, f.name, np.stack(value))
 
     def astype(self, dtype) -> "WeightSet":
         """Return a copy with every tensor cast to ``dtype`` (aligned, see

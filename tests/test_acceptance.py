@@ -298,7 +298,9 @@ def test_criterion_08_head_diversity_suite():
     direct = np.empty((config.H, config.H))
     for i in range(config.H):
         for j in range(config.H):
-            direct[i, j] = float(np.sum(forms.form(i) * forms.form(j)))
+            A_i = forms.wq[i] @ forms.wk[i].T
+            A_j = forms.wq[j] @ forms.wk[j].T
+            direct[i, j] = float(np.sum(A_i * A_j))
     raw = gram(forms, normalize=False)
     denom = np.abs(direct).max()
     assert np.abs(raw.G - direct).max() / denom <= TOL_TRACE_REL
@@ -347,7 +349,7 @@ def test_criterion_10_rank_interpolation_endpoints():
         bv.append(B)
     full_cfg = replace(cfg0, r=16)
     full_w = WeightSet(wq=mha_w.wq, wk_shared=shared_k, wv_shared=shared_v,
-                       uk=tuple(uk), bk=tuple(bk), uv=tuple(uv), bv=tuple(bv),
+                       uk=np.stack(uk), bk=np.stack(bk), uv=np.stack(uv), bv=np.stack(bv),
                        config=full_cfg)
     got = forward_attention(full_w, full_cfg, X)
     want = forward_attention(mha_w, mha_cfg, X)

@@ -182,7 +182,7 @@ def test_manifest_shape_must_match_config(tmp_path):
 
 def test_write_requires_config(tmp_path):
     from attnlab import WeightSet
-    bare = WeightSet(wq=(np.zeros((4, 2)),), wk_shared=np.zeros((4, 2)),
+    bare = WeightSet(wq=np.zeros((1, 4, 2)), wk_shared=np.zeros((4, 2)),
                      wv_shared=np.zeros((4, 2)), config=None)
     with pytest.raises(ArchiveError, match="config"):
         write_archive(bare, tmp_path / "x.bin")

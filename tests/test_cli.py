@@ -252,6 +252,22 @@ def test_svd_compare_rejects_shared_reference(tmp_path):
                     "--out", "-"]) == 1
 
 
+@pytest.mark.parametrize("rank", ["-1", "17"])
+def test_svd_compare_rank_outside_head_width_is_a_usage_error(tmp_path, capsys, rank):
+    mha = AttentionConfig(mechanism=Mechanism.MHA, d=64, H=4, d_h=16)
+    wa, ra = str(tmp_path / "w.bin"), str(tmp_path / "ref.bin")
+    run_cli(["gen-weights", "--config-json", write_config(tmp_path, LRKV_SMALL), "--out", wa])
+    run_cli(["gen-weights", "--config-json", write_config(tmp_path, mha, "mha.json"),
+             "--out", ra])
+    out = tmp_path / "svd.csv"
+    assert run_cli(["svd-compare", "--weights", wa, "--reference", ra,
+                    "--rank", rank, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --rank must be in [0, 16], got {rank}\n"
+    assert not out.exists()
+    for legal in ("0", "16"):  # the ends of the range
+        assert run_cli(["svd-compare", "--weights", wa, "--reference", ra,
+                        "--rank", legal, "--out", str(out)]) == 0
+
 def test_gradcheck_command(tmp_path):
     small = AttentionConfig(mechanism=Mechanism.LRKV, d=24, H=2, d_h=12, r=3)
     cfg_path = write_config(tmp_path, small)

@@ -67,8 +67,6 @@ def test_cache_ratio_closed_forms():
     assert cache_ratio(cfg(Mechanism.GQA, G=2)) == 0.5
     assert cache_ratio(cfg(Mechanism.MLA, d_c=12)) == \
         pytest.approx(2 * 12 / (2 * 4 * 12))
-    assert cache_ratio(cfg(Mechanism.MLA, d_c=12), mla_latent_streams=1) == \
-        pytest.approx(12 / (2 * 4 * 12))
     assert cache_ratio(cfg(Mechanism.LRKV, r=6)) == pytest.approx(0.25 + 0.5)
 
 

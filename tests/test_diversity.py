@@ -55,7 +55,9 @@ def test_trace_identity_matches_direct_inner_products():
         g = gram(forms, normalize=False).G
         for i in range(3):
             for j in range(3):
-                direct = float(np.sum(forms.form(i) * forms.form(j)))
+                A_i = forms.wq[i] @ forms.wk[i].T
+                A_j = forms.wq[j] @ forms.wk[j].T
+                direct = float(np.sum(A_i * A_j))
                 denom = max(1.0, abs(direct))
                 assert abs(g[i, j] - direct) / denom < 1e-8
 
@@ -104,10 +106,9 @@ def test_gram_names_degenerate_head():
 def test_bilinear_forms_rejects_nonfinite():
     config = cfg()
     w = init_weights(config, RngSpec(seed=0))
-    bad_wq = list(w.wq)
-    bad_wq[2] = bad_wq[2].copy()
-    bad_wq[2][0, 0] = np.nan
-    broken = dataclasses.replace(w, wq=tuple(bad_wq))
+    bad_wq = w.wq.copy()
+    bad_wq[2, 0, 0] = np.nan
+    broken = dataclasses.replace(w, wq=bad_wq)
     with pytest.raises(NumericalError):
         bilinear_forms(broken, config)
 
@@ -205,9 +206,9 @@ def test_diversity_report_structure():
 def test_diversity_report_tolerates_dead_head():
     config = cfg()
     w = init_weights(config, RngSpec(seed=8))
-    wq = list(w.wq)
-    wq[3] = np.zeros_like(wq[3])
-    rep = diversity_report(dataclasses.replace(w, wq=tuple(wq)), config)
+    wq = w.wq.copy()
+    wq[3] = 0.0
+    rep = diversity_report(dataclasses.replace(w, wq=wq), config)
     assert rep["degenerate_heads"] == (3,)
     assert np.isfinite(rep["similarity"]).all()
 
@@ -318,8 +319,8 @@ def test_factorization_gap_reports_near_one_for_svd_built_residuals():
         uk.append(U), bk.append(B)
         U, B, _ = svd_truncate(ref.wv[h] - w.wv_shared, 5)
         uv.append(U), bv.append(B)
-    built = dataclasses.replace(w, uk=tuple(uk), bk=tuple(bk),
-                                uv=tuple(uv), bv=tuple(bv))
+    built = dataclasses.replace(w, uk=np.stack(uk), bk=np.stack(bk),
+                                uv=np.stack(uv), bv=np.stack(bv))
     for row in factorization_gap(built, config, ref):
         assert row["ratio"] == pytest.approx(1.0, abs=1e-9)
 

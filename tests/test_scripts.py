@@ -1,14 +1,29 @@
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load_script(name, directory=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_every_traced_bench_attribute_exists(monkeypatch):
+    """The traced bench run replaces each (module, attribute) in
+    ``bench/tracing.py``'s TRACED; a refactor that drops one breaks the bench
+    and nothing else. The file is only read: no bytecode is written beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracing = load_script("tracing", ROOT / "bench")
+    assert tracing.TRACED
+    for module_name, attr, *_ in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), \
+            (module_name, attr)
 
 
 def test_bench_pairs_seeds_and_quartiles():
