@@ -268,6 +268,7 @@ def test_svd_compare_rank_outside_head_width_is_a_usage_error(tmp_path, capsys, 
         assert run_cli(["svd-compare", "--weights", wa, "--reference", ra,
                         "--rank", legal, "--out", str(out)]) == 0
 
+
 def test_gradcheck_command(tmp_path):
     small = AttentionConfig(mechanism=Mechanism.LRKV, d=24, H=2, d_h=12, r=3)
     cfg_path = write_config(tmp_path, small)
