@@ -4,11 +4,14 @@ Five mechanisms share one config record. A field is only meaningful for the
 mechanisms that use it (r for LRKV, d_c for MLA, G for GQA); operations must
 never read a field that is irrelevant to the configured mechanism, and
 validation follows the same rule — an MHA config with a nonsensical ``r`` is
-legal because nothing will ever look at it.
+legal because nothing will ever look at it. Such a field is stored as given,
+except that an integer one (anything ``operator.index`` takes, bools aside)
+is stored as a Python int, as a checked field is, so that it serializes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -96,6 +99,11 @@ class AttentionConfig:
             raise ConfigurationError(
                 f"d must equal H * d_h: d={self.d}, H={self.H}, d_h={self.d_h}"
             )
+        for name in ("r", "d_c", "G"):  # the one this mechanism reads is checked below
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                with contextlib.suppress(TypeError):
+                    object.__setattr__(self, name, operator.index(value))
         m = self.mechanism
         if m is Mechanism.GQA:
             object.__setattr__(self, "G", require_int("G", self.G, 1))

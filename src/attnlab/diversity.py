@@ -13,8 +13,9 @@ built), and
     <A_i, A_j>_F = tr((W_i^K)^T W_j^K (W_j^Q)^T W_i^Q)
 
 turns each inner product into two d_h x d_h products, which is how ``gram``
-evaluates it, one row of the Gram (every j >= i) per pair of stacked products.
-Nothing here forms an A_h; a cross-check can, as ``wq[h] @ wk[h].T``.
+evaluates it, pair by pair (every j >= i): its working memory beyond G is
+those two products and their elementwise product, whatever H is. Nothing
+here forms an A_h; a cross-check can, as ``wq[h] @ wk[h].T``.
 
 Spectral summaries follow the kernel-PCA recipe: cosine-normalize the Gram,
 double-center it, take the eigenvalues (round-robin Jacobi), and report the
@@ -24,6 +25,7 @@ heads actually span around their mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +100,13 @@ def _per_head(stack: np.ndarray, H: int) -> np.ndarray:
 def bilinear_forms(w: WeightSet, config: AttentionConfig) -> BilinearFormSet:
     """Stack each head's (Wq, effective W^K) factor pair."""
     wk = _per_head(effective_weights(w, config, "k"), config.H)
-    finite = np.isfinite(w.wq).all(axis=(1, 2)) & np.isfinite(wk).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericalError(
-            f"non-finite projection factors at head {int(np.argmin(finite))}")
+    # vdot(a, a), one BLAS call, is finite unless an entry is non-finite or a
+    # square overflows (the screen of cache tokens); only then is each head
+    # tested, to name the first bad one.
+    if not (math.isfinite(np.vdot(w.wq, w.wq)) and math.isfinite(np.vdot(wk, wk))):
+        for h in range(config.H):
+            if not (np.isfinite(w.wq[h]).all() and np.isfinite(wk[h]).all()):
+                raise NumericalError(f"non-finite projection factors at head {h}")
     return BilinearFormSet(wq=w.wq, wk=wk)
 
 
@@ -113,13 +118,15 @@ def gram(forms: BilinearFormSet, normalize: bool) -> GramMatrix:
     DegenerateHeadError naming it.
     """
     H = forms.H
+    wq, wk = forms.wq, forms.wk
     G = np.empty((H, H), dtype=np.float64)
     for i in range(H):
-        # Row i from j = i on, via the small side: two stacks of d_h x d_h
-        # products instead of d x d forms, and tr(PQ) = sum(P * Q.T).
-        P = forms.wk[i].T @ forms.wk[i:]
-        Q = forms.wq[i:].mT @ forms.wq[i]
-        G[i, i:] = G[i:, i] = np.sum(P * Q.mT, axis=(1, 2))
+        for j in range(i, H):
+            # Via the small side: two d_h x d_h products instead of d x d
+            # forms, and tr(PQ) = sum(P * Q.T).
+            P = wk[i].T @ wk[j]
+            Q = wq[j].T @ wq[i]
+            G[i, j] = G[j, i] = np.sum(P * Q.T)
     if not normalize:
         return GramMatrix(G=G, normalized=False, centered=False)
     G, degenerate = _cosine(G)
@@ -301,7 +308,9 @@ def factorization_gap(
     optimum for the same shared base, and their ratio (>= 1 up to
     roundoff). The optima of both paths and every head come from one
     ``svd_truncate`` call on the (2H, d, d_h) stack of targets minus the
-    shared base, K heads first; rows come in that order.
+    shared base, K heads first, written into one buffer; rows come in that
+    order. The learned errors are taken one path at a time, so at most one
+    path's expansion and its difference from the targets are held beside it.
     """
     require_mechanism(config, "factorization_gap", Mechanism.LRKV)
     expected = (config.H, config.d, config.d_h)
@@ -317,12 +326,16 @@ def factorization_gap(
         )
     if r is None:
         r = config.r
-    learned = np.concatenate([_per_head(effective_weights(w, config, path), config.H)
-                              for path in "kv"])
-    targets = np.concatenate((reference.wk, reference.wv))
-    D = np.concatenate((reference.wk - w.wk_shared, reference.wv - w.wv_shared))
+    H = config.H
+    D = np.empty((2 * H, config.d, config.d_h), dtype=np.result_type(reference.wk, w.wk_shared))
+    np.subtract(reference.wk, w.wk_shared, out=D[:H])
+    np.subtract(reference.wv, w.wv_shared, out=D[H:])
     _, _, e_opt = svd_truncate(D, r)
-    e_learned = _frobenius(targets - learned)
+    # Never subtract in place: the expansion may be a view of the weights
+    # (LRKV at r = 0 and H = 1).
+    e_learned = np.concatenate([
+        _frobenius(target - _per_head(effective_weights(w, config, path), H))
+        for target, path in ((reference.wk, "k"), (reference.wv, "v"))])
     eps = 1e-12 * np.maximum(1.0, _frobenius(D))
     rows: list[dict] = []
     for i, (learn, opt, tiny) in enumerate(zip(e_learned.tolist(), e_opt.tolist(), eps.tolist())):
@@ -331,8 +344,8 @@ def factorization_gap(
         else:
             ratio = learn / opt
         rows.append({
-            "head": i % config.H,
-            "path": "kv"[i // config.H],
+            "head": i % H,
+            "path": "kv"[i // H],
             "e_learned": learn,
             "e_opt": opt,
             "ratio": ratio,

@@ -464,3 +464,98 @@ def test_bilinear_forms_builds_only_the_k_stack(traced_peak):
     stack = config.H * config.d * config.d_h * 8
     assert forms.wk.nbytes == stack
     assert peak <= 1.5 * stack, peak / stack
+
+
+# ------------------------------------------- pair by pair, one path at a time
+
+
+STACKED_CASES = {
+    "mha": (Mechanism.MHA, {}), "mqa": (Mechanism.MQA, {}),
+    "gqa-G1": (Mechanism.GQA, {"G": 1}), "gqa-G2": (Mechanism.GQA, {"G": 2}),
+    "mla": (Mechanism.MLA, {"d_c": 12}), "lrkv": (Mechanism.LRKV, {"r": 6}),
+    "lrkv-r0": (Mechanism.LRKV, {"r": 0}),
+    "lrkv-r0-H1": (Mechanism.LRKV, {"r": 0, "d": 24, "H": 1}),
+}
+
+
+def _frobenius_rows(stack):
+    flat = stack.reshape(len(stack), -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("case", STACKED_CASES)
+def test_gram_equals_the_stacked_formula(case, dtype):
+    """The pair-by-pair Gram keeps the bits of the row-stacked products."""
+    mechanism, kw = STACKED_CASES[case]
+    config = cfg(mechanism, **kw)
+    w = init_weights(config, RngSpec(seed=31)).astype(dtype)
+    shared = None if w.wk_shared is None else w.wk_shared.copy()
+    forms = bilinear_forms(w, config)
+    H = config.H
+    want = np.empty((H, H))
+    for i in range(H):
+        P = forms.wk[i].T @ forms.wk[i:]
+        Q = forms.wq[i:].mT @ forms.wq[i]
+        want[i, i:] = want[i:, i] = np.sum(P * Q.mT, axis=(1, 2))
+    assert gram(forms, normalize=False).G.tobytes() == want.tobytes()
+    if shared is not None:
+        assert w.wk_shared.tobytes() == shared.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("case", [k for k, (m, _) in STACKED_CASES.items() if m is Mechanism.LRKV])
+def test_factorization_gap_equals_the_stacked_formula(case, dtype):
+    """One D buffer and one path at a time keep the bits of the
+    concatenated stacks, and leave the weights as they were."""
+    _, kw = STACKED_CASES[case]
+    config = cfg(**kw)
+    H = config.H
+    w = init_weights(config, RngSpec(seed=32)).astype(dtype)
+    ref = init_weights(cfg(Mechanism.MHA, d=config.d, H=H, d_h=config.d_h),
+                       RngSpec(seed=33)).astype(dtype)
+    before = {name: t.copy() for name, t in w.named_tensors().items()}
+    for r in sorted({0, config.r, 3}):
+        heads = gqa_group(np.arange(H), H, 1) if config.r == 0 else np.arange(H)
+        learned = np.concatenate([effective_weights(w, config, p)[heads] for p in "kv"])
+        targets = np.concatenate((ref.wk, ref.wv))
+        D = np.concatenate((ref.wk - w.wk_shared, ref.wv - w.wv_shared))
+        _, _, e_opt = svd_truncate(D, r)
+        e_learned = _frobenius_rows(targets - learned)
+        eps = 1e-12 * np.maximum(1.0, _frobenius_rows(D))
+        rows = factorization_gap(w, config, ref, r=r)
+        assert len(rows) == 2 * H
+        for i, row in enumerate(rows):
+            ratio = (e_learned[i] / e_opt[i] if e_opt[i] >= eps[i]
+                     else 1.0 if e_learned[i] < eps[i] else float("inf"))
+            assert row == {"head": i % H, "path": "kv"[i // H], "e_learned": float(e_learned[i]),
+                           "e_opt": float(e_opt[i]), "ratio": float(ratio)}, (r, i)
+    for name, t in w.named_tensors().items():
+        assert t.tobytes() == before[name].tobytes(), name
+
+
+# ------------------------------------------------------- working memory
+
+
+def test_diversity_report_holds_one_k_stack(traced_peak):
+    """With the weights held, a 128M report allocates the K stack and, per
+    head pair, two d_h x d_h products and their elementwise product: no
+    (H, d, d_h) finite screen and no (H, d_h, d_h) product stacks."""
+    config = config_for("128M", "lrkv")
+    w = init_weights(config, RngSpec(seed=34))
+    _, peak = traced_peak(diversity_report, w, config)
+    stack = config.H * config.d * config.d_h * 8
+    assert peak <= stack + 6 * config.d_h ** 2 * 8, (peak, stack)
+
+
+def test_factorization_gap_holds_d_and_one_path(traced_peak):
+    """The optimum's (2H, d, d_h) D buffer, one path's expansion and its
+    difference from the targets, and the solver's (2H, d_h, d_h) arrays:
+    under five (H, d, d_h) stacks, where four concatenated copies of both
+    paths took over eight."""
+    config = cfg(d=384, H=6, d_h=64, r=8)
+    w = init_weights(config, RngSpec(seed=35))
+    ref = init_weights(cfg(Mechanism.MHA, d=384, H=6, d_h=64), RngSpec(seed=36))
+    _, peak = traced_peak(factorization_gap, w, config, ref)
+    stack = config.H * config.d * config.d_h * 8
+    assert peak <= 5 * stack, peak / stack

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -24,6 +25,62 @@ def test_every_traced_bench_attribute_exists(monkeypatch):
     for module_name, attr, *_ in tracing.TRACED:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), \
             (module_name, attr)
+
+
+def test_traced_bench_spans_are_recorded(monkeypatch, tmp_path):
+    """The traced bench run takes per-layer metrics from the spans that
+    ``bench/lab.py::layer_metrics`` selects, some through ``statistics.median``,
+    which raises on an empty list. So each selection must find a span when
+    the lab pipelines run, here at a small shape, with ``bench/tracing.py``'s
+    tracer installed. The file is only read: no bytecode is written beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracing = load_script("tracing", ROOT / "bench")
+    cli = importlib.import_module("attnlab.cli")
+    shape = {"d": 32, "H": 2, "d_h": 16, "n_layers": 1, "r": 4, "d_c": 16, "G": 2}
+    for m in ("mha", "mla", "lrkv"):
+        (tmp_path / f"{m}.json").write_text(json.dumps(dict(shape, mechanism=m)))
+    archives = {"diversity": "lrkv", "weights": "lrkv", "reference": "mha"}
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        with tracer.request("setup"):
+            for seed, (role, m) in enumerate(archives.items()):
+                assert cli.run_cli(["gen-weights", "--config-json", str(tmp_path / f"{m}.json"),
+                                    "--seed", str(seed), "--out", str(tmp_path / role)]) == 0
+        for m in ("mla", "lrkv"):
+            with tracer.request(f"lab/verify-{m}"):
+                assert cli.run_cli(["verify", "--config-json", str(tmp_path / f"{m}.json"),
+                                    "--tokens", "8", "--trials", "1", "--seed", "1",
+                                    "--out", str(tmp_path / f"verify-{m}.csv")]) == 0
+        with tracer.request("lab/diversity"):
+            assert cli.run_cli(["diversity", "--weights", str(tmp_path / "diversity"),
+                                "--out-prefix", str(tmp_path / "diversity")]) == 0
+        with tracer.request("lab/svd-compare"):
+            assert cli.run_cli(["svd-compare", "--weights", str(tmp_path / "weights"),
+                                "--reference", str(tmp_path / "reference"),
+                                "--out", str(tmp_path / "svd-compare.csv")]) == 0
+
+    selected = {
+        (name, request): tracer.select(name, request) for name, request in (
+            ("archive.write_archive", "setup"),
+            ("archive.read_archive", "lab"),
+            ("cli.run_cli", "lab/diversity"),
+            ("cli.run_cli", "lab/svd-compare"),
+            ("diversity.diversity_report", "lab/diversity"),
+            ("diversity.gram", "lab/diversity"),
+            ("diversity.spectrum", "lab/diversity"),
+            ("diversity.factorization_gap", "lab/svd-compare"),
+            ("diversity.svd_truncate", "lab/svd-compare"),
+            ("cache.decode_explicit", "lab/verify-mla"),
+            ("cache.decode_factored", "lab/verify-mla"),
+            ("cache.decode_explicit", "lab/verify-lrkv"),
+            ("cache.decode_factored", "lab/verify-lrkv"),
+        )
+    }
+    jacobi = tracer.select("jacobi.jacobi_eigh", "lab")
+    for parent in ("diversity.svd_truncate", "diversity.spectrum"):
+        selected[("jacobi.jacobi_eigh", parent)] = [
+            s for s in jacobi if tracer.parent_name(s) == parent]
+    assert [key for key, spans in selected.items() if not spans] == []
 
 
 def test_bench_pairs_seeds_and_quartiles():
