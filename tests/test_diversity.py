@@ -480,7 +480,7 @@ STACKED_CASES = {
 
 def _frobenius_rows(stack):
     flat = stack.reshape(len(stack), -1)
-    return np.sqrt(np.vecdot(flat, flat))
+    return np.sqrt(np.vecdot(flat, flat)).astype(np.float64)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
@@ -516,8 +516,8 @@ def test_factorization_gap_equals_the_stacked_formula(case, dtype):
                        RngSpec(seed=33)).astype(dtype)
     before = {name: t.copy() for name, t in w.named_tensors().items()}
     for r in sorted({0, config.r, 3}):
-        heads = gqa_group(np.arange(H), H, 1) if config.r == 0 else np.arange(H)
-        learned = np.concatenate([effective_weights(w, config, p)[heads] for p in "kv"])
+        stacks = [effective_weights(w, config, p) for p in "kv"]
+        learned = np.concatenate([s[gqa_group(np.arange(H), H, len(s))] for s in stacks])
         targets = np.concatenate((ref.wk, ref.wv))
         D = np.concatenate((ref.wk - w.wk_shared, ref.wv - w.wv_shared))
         _, _, e_opt = svd_truncate(D, r)
