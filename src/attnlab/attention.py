@@ -3,11 +3,8 @@
 The forward pass never branches on the mechanism: it asks
 ``effective_weights`` for the K and the V weight stacks, projects the whole
 sequence for all heads at once and runs standard scaled-dot-product
-attention on top, one head at a time: a head's (T, T) scores, then its
-causal rows, one softmax row per step. Only one head's scores are ever held,
-so the working memory is the projections plus one (T, T) array, not H of
-them. Heads are concatenated in head order; there is no output projection
-and no biases.
+attention on top, one row of every head's scores per step. Heads are
+concatenated in head order; there is no output projection and no biases.
 
 ``softmax_row`` is the one softmax in the package. Decode paths reuse it so
 that a probability computed during decode is bit-identical to the same
@@ -20,7 +17,7 @@ import numpy as np
 
 from .config import AttentionConfig
 from .errors import DimensionError
-from .weights import WeightSet, effective_weights, gqa_group
+from .weights import WeightSet, effective_weights
 
 RMSNORM_EPS = 1e-6
 
@@ -54,7 +51,7 @@ def forward_attention(
     X is (T, d); the result is (T, d) with head outputs concatenated in head
     order. Position i attends to positions 0..i. With ``config.qk_norm`` the
     query and key rows are RMS-normalized before the dot product. Scores are
-    one (T, T) product per head, computed and consumed one head at a time.
+    one (T, T) product per head, held for all heads at once: (H, T, T).
     """
     X = np.asarray(X)
     if X.ndim != 2:
@@ -64,18 +61,16 @@ def forward_attention(
         raise DimensionError(f"X has width {d}, config.d={config.d}")
     H, d_h = config.H, config.d_h
     Q = X @ w.wq  # (H, T, d_h)
-    # each weight stack is freed once projected
+    # head h reads gqa_group(h, H, n); each weight stack is freed once projected
     K, V = (X @ effective_weights(w, config, path) for path in "kv")
     n = K.shape[0]
     if config.qk_norm:
         Q = rmsnorm(Q)
         K = rmsnorm(K)
+    scores = (Q.reshape(n, H // n, T, d_h) @ K.transpose(0, 2, 1)[:, None]).reshape(H, T, T)
+    scores *= config.softmax_scale
     out = np.empty((T, H, d_h), dtype=X.dtype)
-    for h in range(H):
-        g = gqa_group(h, H, n)
-        scores = Q[h] @ K[g].T
-        scores *= config.softmax_scale
-        for i in range(T):
-            out[i, h] = softmax_row(scores[i, : i + 1]) @ V[g, : i + 1]
-        del scores  # freed before the next head's are allocated
+    for i in range(T):
+        A = softmax_row(scores[:, i, : i + 1])
+        out[i] = (A.reshape(n, H // n, 1, i + 1) @ V[:, None, : i + 1]).reshape(H, d_h)
     return out.reshape(T, H * d_h)

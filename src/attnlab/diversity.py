@@ -25,7 +25,6 @@ heads actually span around their mean.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,13 +99,10 @@ def _per_head(stack: np.ndarray, H: int) -> np.ndarray:
 def bilinear_forms(w: WeightSet, config: AttentionConfig) -> BilinearFormSet:
     """Stack each head's (Wq, effective W^K) factor pair."""
     wk = _per_head(effective_weights(w, config, "k"), config.H)
-    # vdot(a, a), one BLAS call, is finite unless an entry is non-finite or a
-    # square overflows (the screen of cache tokens); only then is each head
-    # tested, to name the first bad one.
-    if not (math.isfinite(np.vdot(w.wq, w.wq)) and math.isfinite(np.vdot(wk, wk))):
-        for h in range(config.H):
-            if not (np.isfinite(w.wq[h]).all() and np.isfinite(wk[h]).all()):
-                raise NumericalError(f"non-finite projection factors at head {h}")
+    # head by head, so the boolean temporaries are one (d, d_h) head's
+    for h in range(config.H):
+        if not (np.isfinite(w.wq[h]).all() and np.isfinite(wk[h]).all()):
+            raise NumericalError(f"non-finite projection factors at head {h}")
     return BilinearFormSet(wq=w.wq, wk=wk)
 
 

@@ -175,17 +175,3 @@ def test_forward_attention_equals_the_per_head_loop(config, dtype, per_head_kv):
     Y = forward_attention(w, config, X)
     assert Y.dtype == dtype
     assert Y.tobytes() == _forward_per_head(w, config, X, per_head_kv).tobytes()
-
-
-def test_forward_attention_holds_one_heads_scores(traced_peak):
-    """One head's (T, T) scores at a time: the peak is the projections and
-    the output, each (T, d), plus one head's scores, where all heads' scores
-    at once were H times that."""
-    config = cfg(Mechanism.MHA, d=64, H=8, d_h=8)
-    T = 256
-    w = init_weights(config, RngSpec(seed=15))
-    X = np.random.default_rng(16).standard_normal((T, config.d))
-    _, peak = traced_peak(forward_attention, w, config, X)
-    one_head, projection = T * T * 8, T * config.d * 8
-    assert peak <= 1.25 * (one_head + 4 * projection), peak
-    assert peak < config.H * one_head / 3, peak
