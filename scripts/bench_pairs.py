@@ -11,12 +11,15 @@ each side with seed i, for the benchmark's run_seconds, the parent first in
 even pairs and the change first in odd ones; the last pair uses the held-out
 seed 7919. Every end-to-end metric is summarized per workload: both sides'
 quartiles and medians, the ratio of the medians, the pairs each side won,
-and whether the medians differ by more than the parent's interquartile
-range. ``--claim`` states the gain the change claims beforehand; it is
-judged on the design seeds alone, and the held-out pair is reported beside
-it. ``--trace-workload`` adds one ``--trace 1`` run per side, with seed
-1031, whose per-layer metrics are recorded as they come. The benchmark
-itself is never imported: only its output is read.
+whether the medians differ by more than the parent's interquartile range,
+and whether the metric is unresolved: its parent's interquartile range, as a
+fraction of the parent's median, is wider than the bound (also a fraction of
+that median) and not every change run beats every parent run. ``--claim``
+states the gain the change claims beforehand; it is judged on the design
+seeds alone, and the held-out pair is reported beside it.
+``--trace-workload`` adds one ``--trace 1`` run per side, with seed 1031,
+whose per-layer metrics are recorded as they come. The benchmark itself is
+never imported: only its output is read.
 """
 
 from __future__ import annotations
@@ -73,6 +76,10 @@ def summarize_metric(parent, change, better: str, bound: float | None) -> dict:
     }
     if bound is not None:
         out["worse_than_bound"] = bool(ratio > 1 + bound if better == "lower" else ratio < 1 - bound)
+        spread = (p["q3"] - p["q1"]) / p["median"] if p["median"] else float("inf")
+        beats_every_run = (max(change) < min(parent) if better == "lower"
+                           else min(change) > max(parent))
+        out["unresolved"] = bool(spread > bound and not beats_every_run)
     return out
 
 
@@ -196,6 +203,8 @@ def main(argv=None) -> int:
             "win": "a pair is won when the change's run is strictly better in the metric's direction",
             "worse_than_bound": "the ratio of medians is past 1 + bound (lower is better) "
                                 "or 1 - bound (higher is better)",
+            "unresolved": "the parent's IQR over its median exceeds the bound, and not every "
+                          "change run beats every parent run",
             "held_out_seed": HELD_OUT_SEED,
         },
     }

@@ -12,25 +12,29 @@ config (field-for-field JSON), and a tensor manifest: name, dtype ("f32" or
 are stored and loaded as little-endian regardless of host byte order, so an
 archive means the same floats everywhere.
 
-A read validates in this order, and every failure names the offending field:
+A readable archive is laid out exactly as ``write_archive`` lays it out:
+the matrices of ``weights.flat_shapes`` in that order (a stacked field such
+as ``wq`` is stored as its matrices ``wq.0`` ... ``wq.{H-1}``), each tensor
+starting where the previous one ends and the first at 0, one dtype for all
+matrices of a field, and no byte after the last tensor. A read validates in
+this order, and every failure names the offending field:
 
 1. the header: its declared length against the file's size, then its JSON,
    version and config;
 2. the manifest: name uniqueness, dtypes, shapes, and offsets and lengths
-   against each other and against the blob's size (the file's size from
-   ``os.fstat``, so a huge claimed shape fails before anything is allocated);
-3. the layout: the names and shapes must be the config's
-   (``weights.flat_shapes``): a stacked field such as ``wq`` is stored as its
-   matrices ``wq.0`` ... ``wq.{H-1}``;
+   against each other (no overlap, no gap) and against the blob's size (the
+   file's size from ``os.fstat``, so a huge claimed shape fails before
+   anything is allocated), then trailing bytes;
+3. the layout: the names and shapes must be the config's, in its order, and
+   a field's matrices must share one dtype;
 4. the checksum, last, as the blob streams in.
 
 So an archive that is both corrupt and mis-laid-out is named for its layout.
 Only then is each field allocated, one aligned buffer (``weights.aligned_empty``)
-as ``init_weights`` allocates it, and the blob is streamed in offset order:
-each tensor is read straight into its slice of its field, and the CRC is
-updated from that slice; gap and trailing bytes are fed to the CRC in small
-chunks. A checksum mismatch raises before anything is returned. The file is
-never held whole, so a read peaks at about one copy of the payload. A write
+as ``init_weights`` allocates it, and filled by one read of its bytes, which
+also updates the CRC; on a big-endian host it is then byte-swapped in place.
+A checksum mismatch raises before anything is returned. The file is never
+held whole, so a read peaks at about one copy of the payload. A write
 streams the same way: one CRC pass over the tensors, then the header, then
 each tensor from its own buffer.
 
@@ -56,9 +60,6 @@ from .weights import WeightSet, aligned_empty, flat_shapes, tensor_shapes
 FORMAT_VERSION = 1
 
 _DTYPE_CODES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
-
-# Gap and trailing bytes are read and checksummed this many at a time.
-_CHUNK = 1 << 20
 
 
 def _dtype_code(arr: np.ndarray) -> str:
@@ -117,17 +118,6 @@ def _read_exactly(f, buf) -> None:
         raise ArchiveError("truncated archive: file ended while reading the blob")
 
 
-def _skip(f, n: int, crc: int) -> int:
-    """Read ``n`` bytes that belong to no tensor; return the CRC updated by them."""
-    buf = bytearray(min(n, _CHUNK))
-    while n:
-        view = memoryview(buf)[:min(n, _CHUNK)]
-        _read_exactly(f, view)
-        crc = zlib.crc32(view, crc)
-        n -= len(view)
-    return crc
-
-
 def read_archive(path) -> WeightSet:
     """Load a WeightSet; validates header, manifest and layout before it
     allocates a field, and the checksum before it returns."""
@@ -148,41 +138,25 @@ def read_archive(path) -> WeightSet:
             raise ArchiveError(f"unreadable header: {e}") from e
         if not isinstance(header, dict):
             raise ArchiveError(f"header is a JSON {type(header).__name__}, not an object")
-        config, entries = _validate(header, size - 8 - header_len)
-
-        # One aligned buffer per field, in host byte order, filled by flat name.
-        dtypes: dict[str, list[np.dtype]] = {}
-        for name, (dtype, _, _) in entries.items():
-            dtypes.setdefault(name.partition(".")[0], []).append(dtype)
-        weights = WeightSet(config=config, **{
-            field: aligned_empty(shape, np.result_type(*dtypes[field]).newbyteorder("="))
-            for field, shape in tensor_shapes(config).items()
-        })
-        matrices = weights.named_tensors()
-        crc = pos = 0
-        for name, (dtype, offset, length) in entries.items():  # offset order
-            crc = _skip(f, offset - pos, crc)
-            matrix = matrices[name]
-            # A field stored little-endian at its own dtype is read in place;
-            # otherwise (mixed dtypes, a big-endian host) through a buffer.
-            buf = matrix if matrix.dtype == dtype else np.empty(matrix.shape, dtype)
-            view = buf.reshape(-1).view(np.uint8)  # the same memory, as bytes
+        config, dtypes = _validate(header, size - 8 - header_len)
+        fields = {}
+        crc = 0
+        for field, shape in tensor_shapes(config).items():  # the blob's order
+            fields[field] = arr = aligned_empty(shape, dtypes[field].newbyteorder("="))
+            view = arr.reshape(-1).view(np.uint8)  # the same memory, as bytes
             _read_exactly(f, view)
             crc = zlib.crc32(view, crc)
-            if buf is not matrix:
-                matrix[...] = buf
-            pos = offset + length
-        crc = _skip(f, size - 8 - header_len - pos, crc)
+            if not dtypes[field].isnative:  # stored little-endian, read on a big-endian host
+                arr.byteswap(inplace=True)
     if header.get("checksum") != crc & 0xFFFFFFFF:
         raise ArchiveError("checksum mismatch: blob corrupted")
-    return weights
+    return WeightSet(config=config, **fields)
 
 
-def _validate(header: dict, blob_len: int
-              ) -> tuple[AttentionConfig, dict[str, tuple[np.dtype, int, int]]]:
-    """The header's config, and its manifest as name -> (dtype, offset,
-    length) in offset order, once the version, every manifest entry and the
-    config's layout have been checked; the blob itself is not read."""
+def _validate(header: dict, blob_len: int) -> tuple[AttentionConfig, dict[str, np.dtype]]:
+    """The header's config and each field's stored dtype, once the version,
+    every manifest entry and the config's layout have been checked; the blob
+    itself is not read."""
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise ArchiveError(
@@ -196,9 +170,8 @@ def _validate(header: dict, blob_len: int
     manifest = header.get("tensors")
     if not isinstance(manifest, list):
         raise ArchiveError("manifest missing or not a list")
-    prev_end = 0
-    entries: dict[str, tuple[np.dtype, int, int]] = {}
-    shapes: dict[str, tuple[int, ...]] = {}
+    end = 0
+    entries: dict[str, tuple[str, tuple[int, ...]]] = {}  # name -> (dtype code, shape)
     for entry in manifest:
         if not isinstance(entry, dict):
             raise ArchiveError(f"manifest entry is not an object: {entry!r}")
@@ -210,25 +183,29 @@ def _validate(header: dict, blob_len: int
         code = entry.get("dtype")
         if not isinstance(code, str) or code not in _DTYPE_CODES:
             raise ArchiveError(f"tensor {name}: unknown dtype {code!r}")
-        dtype = _DTYPE_CODES[code]
+        itemsize = _DTYPE_CODES[code].itemsize
         shape = entry.get("shape", [])
         if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
             raise ArchiveError(f"tensor {name}: shape {shape!r} is not a list of sizes")
         offset, length = entry.get("offset"), entry.get("length")
         if not isinstance(offset, int) or not isinstance(length, int) or offset < 0:
             raise ArchiveError(f"tensor {name}: invalid offset/length")
-        if length != math.prod(shape) * dtype.itemsize:
+        if length != math.prod(shape) * itemsize:
             raise ArchiveError(
                 f"tensor {name}: length {length} does not match shape {tuple(shape)} "
-                f"at {dtype.itemsize} bytes/element"
+                f"at {itemsize} bytes/element"
             )
-        if offset < prev_end:
+        if offset < end:
             raise ArchiveError(f"tensor {name}: offset {offset} overlaps previous tensor")
-        prev_end = offset + length
-        if prev_end > blob_len:
+        if offset > end:
+            raise ArchiveError(f"tensor {name}: offset {offset} leaves a gap of "
+                               f"{offset - end} bytes after the previous tensor")
+        end = offset + length
+        if end > blob_len:
             raise ArchiveError(f"truncated blob: tensor {name} extends past end of file")
-        entries[name] = (dtype, offset, length)
-        shapes[name] = tuple(shape)
+        entries[name] = (code, tuple(shape))
+    if end != blob_len:
+        raise ArchiveError(f"{blob_len - end} trailing bytes after the last tensor")
 
     # Counts first: the header is unchecked, its config may claim 10^6 heads.
     count = sum(shape[0] if len(shape) == 3 else 1 for shape in tensor_shapes(config).values())
@@ -241,7 +218,15 @@ def _validate(header: dict, blob_len: int
         extra = sorted(set(entries) - set(expected))
         raise ArchiveError(f"missing tensors ({len(missing)}): {', '.join(missing[:8])}; "
                            f"unexpected tensors: {', '.join(extra[:8])}")
-    for name, shape in expected.items():
-        if shapes[name] != shape:
-            raise ArchiveError(f"tensor {name}: shape {shapes[name]}, expected {shape}")
-    return config, entries
+    codes: dict[str, str] = {}  # field -> the dtype code of its first matrix
+    for listed, (name, shape) in zip(entries, expected.items()):
+        if listed != name:
+            raise ArchiveError(f"tensor {listed}: out of order, the layout lists {name} here")
+        code, stored = entries[name]
+        if stored != shape:
+            raise ArchiveError(f"tensor {name}: shape {stored}, expected {shape}")
+        field = name.partition(".")[0]
+        if codes.setdefault(field, code) != code:
+            raise ArchiveError(f"tensor {name}: dtype {code}, but {field}.0 is "
+                               f"{codes[field]}; a field's matrices share one dtype")
+    return config, {field: _DTYPE_CODES[code] for field, code in codes.items()}

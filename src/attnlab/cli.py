@@ -28,6 +28,7 @@ accounting convention rather than the config alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -60,16 +61,15 @@ EQUIVALENCE_TOL = {"float64": 1e-9, "float32": 1e-5}
 MECHANISM_ORDER = tuple(Mechanism)
 
 
-def _write_csv(out: str, header: list[str], rows: list[list]) -> None:
-    if out == "-":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(out, "w", newline="") as f:
+def _write_csv(out: str, columns: dict[str, str], rows) -> None:
+    """Write ``rows`` (dicts) to ``out`` ("-": stdout) under a header of
+    ``columns``' names; a cell is its column's format applied to the row's
+    value, and None is an empty cell."""
+    with contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows(["" if row[c] is None else fmt.format(row[c])
+                          for c, fmt in columns.items()] for row in rows)
 
 
 def _apply_overrides(config: AttentionConfig, sets: list[str] | None) -> AttentionConfig:
@@ -145,69 +145,50 @@ def _cmd_verify(args) -> int:
         config, RngSpec(seed=args.seed), T=args.tokens, trials=args.trials,
         dtype=dtype,
     )
-    header = ["trial", "mechanism", "T", "dtype", "max_logit_diff",
-              "max_out_diff", "explicit_elems_touched", "factored_elems_touched"]
-    out_rows = []
-    failed = False
+    _write_csv(args.out, {"trial": "{}", "mechanism": "{}", "T": "{}", "dtype": "{}",
+                          "max_logit_diff": "{:.3e}", "max_out_diff": "{:.3e}",
+                          "explicit_elems_touched": "{}", "factored_elems_touched": "{}"},
+               rows)
     tol = EQUIVALENCE_TOL[np.dtype(dtype).name]
-    for r in rows:
-        for key in ("max_logit_diff", "max_out_diff"):
-            if r[key] is not None and r[key] > tol:
-                failed = True
-        out_rows.append([
-            r["trial"], r["mechanism"], r["T"], r["dtype"],
-            "" if r["max_logit_diff"] is None else f"{r['max_logit_diff']:.3e}",
-            "" if r["max_out_diff"] is None else f"{r['max_out_diff']:.3e}",
-            r["explicit_elems_touched"],
-            "" if r["factored_elems_touched"] is None else r["factored_elems_touched"],
-        ])
-    _write_csv(args.out, header, out_rows)
+    failed = any(r[key] is not None and r[key] > tol
+                 for r in rows for key in ("max_logit_diff", "max_out_diff"))
     return 1 if failed else 0
 
 
-def _memory_row(config, preset, args):
+def _memory_row(config, preset, args) -> dict:
     q = CostQuery(config=config, T=args.tokens, batch=args.batch,
                   bytes_per_element=args.bytes,
                   mla_latent_streams=args.mla_streams)
     rep = cost_report(q)
     if config.mechanism is Mechanism.MLA:
-        formula = ""
+        formula = None
     elif config.mechanism is Mechanism.LRKV and preset is not None:
-        formula = f"{cache_ratio(replace(config, r=preset.table_rank)):.3f}"
+        formula = cache_ratio(replace(config, r=preset.table_rank))
     else:
-        formula = f"{cache_ratio(config):.3f}"
-    return [
-        config.mechanism.value,
-        rep.cache_bytes,
-        f"{rep.cache_bytes / MIB:.1f}",
-        f"{rep.cache_ratio_vs_mha:.3f}",
-        formula,
-        rep.kv_param_count,
-    ]
+        formula = cache_ratio(config)
+    return {"mechanism": config.mechanism.value, "cache_bytes": rep.cache_bytes,
+            "cache_mib": rep.cache_bytes / MIB, "ratio_vs_mha": rep.cache_ratio_vs_mha,
+            "ratio_formula": formula, "kv_param_count": rep.kv_param_count}
 
 
 def _cmd_memory(args) -> int:
-    header = ["mechanism", "cache_bytes", "cache_mib", "ratio_vs_mha",
-              "ratio_formula", "kv_param_count"]
-    rows = []
     config = _json_config(args)
     if config is not None:
-        rows.append(_memory_row(_apply_overrides(config, args.set), None, args))
+        rows = [_memory_row(_apply_overrides(config, args.set), None, args)]
     else:
         preset = get_preset(_preset_name(args))
+        rows = []
         for mech in MECHANISM_ORDER:
-            config = config_for(preset, mech, rank=args.rank)
-            config = _apply_overrides(config, args.set)
+            config = _apply_overrides(config_for(preset, mech, rank=args.rank), args.set)
             rows.append(_memory_row(config, preset, args))
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, {"mechanism": "{}", "cache_bytes": "{}", "cache_mib": "{:.1f}",
+                          "ratio_vs_mha": "{:.3f}", "ratio_formula": "{:.3f}",
+                          "kv_param_count": "{}"}, rows)
     return 0
 
 
 def _cmd_flops(args) -> int:
     preset = get_preset(args.preset)
-    header = ["mechanism", "decode_path", "T", "decode_flops",
-              "overhead_vs_mha", "proj_new_token", "reconstruct", "scan",
-              "lift", "softmax"]
     rows = []
     # Grouped K/V (MHA, MQA, GQA) is costed along its explicit path.
     paths = {Mechanism.MLA: ("reconstruct", "factored"), Mechanism.LRKV: ("factored",)}
@@ -218,13 +199,13 @@ def _cmd_flops(args) -> int:
         for path in paths.get(mech, ("explicit",)):
             mla_path = path if mech is Mechanism.MLA else "reconstruct"
             total, overhead = decode_flops(q, mla_path=mla_path)
-            parts = decode_flops_breakdown(q, mla_path=mla_path)
-            rows.append([
-                mech.value, path, args.tokens, total, f"{overhead:.6f}",
-                parts["proj_new_token"], parts["reconstruct"], parts["scan"],
-                parts["lift"], parts["softmax"],
-            ])
-    _write_csv(args.out, header, rows)
+            rows.append({"mechanism": mech.value, "decode_path": path, "T": args.tokens,
+                         "decode_flops": total, "overhead_vs_mha": overhead,
+                         **decode_flops_breakdown(q, mla_path=mla_path)})
+    _write_csv(args.out, {"mechanism": "{}", "decode_path": "{}", "T": "{}",
+                          "decode_flops": "{}", "overhead_vs_mha": "{:.6f}",
+                          "proj_new_token": "{}", "reconstruct": "{}", "scan": "{}",
+                          "lift": "{}", "softmax": "{}"}, rows)
     return 0
 
 
@@ -236,16 +217,10 @@ def _cmd_ablate(args) -> int:
         raise ConfigurationError(
             f"--ranks expects comma-separated integers, got {args.ranks!r}") from None
     base = _apply_overrides(config_for(preset, Mechanism.LRKV), args.set)
-    rows = ablation_table(base, ranks, T=args.tokens)
-    header = ["r", "cache_ratio", "cache_pct", "cache_bytes",
-              "kv_param_count", "decode_flops", "flops_overhead_vs_mha"]
-    out_rows = [
-        [r["r"], f"{r['cache_ratio']:.6f}", f"{r['cache_pct']:.3f}",
-         r["cache_bytes"], r["kv_param_count"], r["decode_flops"],
-         f"{r['flops_overhead_vs_mha']:.6f}"]
-        for r in rows
-    ]
-    _write_csv(args.out, header, out_rows)
+    _write_csv(args.out, {"r": "{}", "cache_ratio": "{:.6f}", "cache_pct": "{:.3f}",
+                          "cache_bytes": "{}", "kv_param_count": "{}", "decode_flops": "{}",
+                          "flops_overhead_vs_mha": "{:.6f}"},
+               ablation_table(base, ranks, T=args.tokens))
     return 0
 
 
@@ -253,37 +228,28 @@ def _cmd_diversity(args) -> int:
     w = read_archive(args.weights)
     rep = diversity_report(w, w.config)
     prefix = args.out_prefix
-    H = rep["H"]
-
-    sim_header = [f"head_{h}" for h in range(H)]
-    sim_rows = [[f"{x:.9f}" for x in row] for row in rep["similarity"]]
-    _write_csv(f"{prefix}_similarity.csv", sim_header, sim_rows)
-
-    spec_header = ["variant", "component", "eigenvalue", "variance_fraction"]
-    spec_rows = []
-    cum_header = ["variant", "component", "cumulative_variance"]
-    cum_rows = []
-    for variant in ("uncentered", "centered"):
-        sr = rep[variant]
-        for i in range(H):
-            spec_rows.append([variant, i, f"{sr.eigenvalues[i]:.9e}",
-                              f"{sr.variance_fractions[i]:.9f}"])
-            cum_rows.append([variant, i, f"{sr.cumulative_variance[i]:.9f}"])
-    _write_csv(f"{prefix}_spectrum.csv", spec_header, spec_rows)
-    _write_csv(f"{prefix}_cumulative.csv", cum_header, cum_rows)
-
-    er_header = ["variant", "effective_rank_abs", "effective_rank_pct",
-                 "n_components_for_90pct", "degenerate", "degenerate_heads"]
-    er_rows = []
-    for variant in ("uncentered", "centered"):
-        sr = rep[variant]
-        er_rows.append([
-            variant, f"{sr.effective_rank_abs:.6f}",
-            f"{sr.effective_rank_pct:.6f}", sr.n_components_for_90pct,
-            int(sr.degenerate),
-            ";".join(str(h) for h in rep["degenerate_heads"]),
-        ])
-    _write_csv(f"{prefix}_effective_rank.csv", er_header, er_rows)
+    heads = {f"head_{h}": "{:.9f}" for h in range(rep["H"])}
+    _write_csv(f"{prefix}_similarity.csv", heads,
+               [dict(zip(heads, row)) for row in rep["similarity"]])
+    variants = ("uncentered", "centered")
+    components = [
+        {"variant": v, "component": i, "eigenvalue": rep[v].eigenvalues[i],
+         "variance_fraction": rep[v].variance_fractions[i],
+         "cumulative_variance": rep[v].cumulative_variance[i]}
+        for v in variants for i in range(rep["H"])
+    ]
+    _write_csv(f"{prefix}_spectrum.csv", {"variant": "{}", "component": "{}",
+                                          "eigenvalue": "{:.9e}",
+                                          "variance_fraction": "{:.9f}"}, components)
+    _write_csv(f"{prefix}_cumulative.csv", {"variant": "{}", "component": "{}",
+                                            "cumulative_variance": "{:.9f}"}, components)
+    degenerate_heads = ";".join(str(h) for h in rep["degenerate_heads"])
+    _write_csv(f"{prefix}_effective_rank.csv",
+               {"variant": "{}", "effective_rank_abs": "{:.6f}",
+                "effective_rank_pct": "{:.6f}", "n_components_for_90pct": "{}",
+                "degenerate": "{:d}", "degenerate_heads": "{}"},
+               [{"variant": v, **vars(rep[v]), "degenerate_heads": degenerate_heads}
+                for v in variants])
     return 0
 
 
@@ -292,14 +258,9 @@ def _cmd_svd_compare(args) -> int:
     ref = read_archive(args.reference)
     if args.rank is not None:  # svd_truncate's range, as a usage error
         require_int("--rank", args.rank, 0, w.config.d_h)
-    rows = factorization_gap(w, w.config, ref, r=args.rank)
-    header = ["head", "path", "e_learned", "e_opt", "ratio"]
-    out_rows = [
-        [r["head"], r["path"], f"{r['e_learned']:.9e}", f"{r['e_opt']:.9e}",
-         f"{r['ratio']:.9f}"]
-        for r in rows
-    ]
-    _write_csv(args.out, header, out_rows)
+    _write_csv(args.out, {"head": "{}", "path": "{}", "e_learned": "{:.9e}",
+                          "e_opt": "{:.9e}", "ratio": "{:.9f}"},
+               factorization_gap(w, w.config, ref, r=args.rank))
     return 0
 
 
@@ -307,13 +268,8 @@ def _cmd_gradcheck(args) -> int:
     config = _apply_overrides(_load_config_json(args.config_json), args.set)
     rows = gradcheck_rows(config, RngSpec(seed=args.seed),
                           instances=args.instances)
-    header = ["instance", "path", "target", "fd_mode", "rel_err"]
-    out_rows = [
-        [r["instance"], r["path"], r["target"], r["fd_mode"],
-         f"{r['rel_err']:.3e}"]
-        for r in rows
-    ]
-    _write_csv(args.out, header, out_rows)
+    _write_csv(args.out, {"instance": "{}", "path": "{}", "target": "{}",
+                          "fd_mode": "{}", "rel_err": "{:.3e}"}, rows)
     failed = any(r["rel_err"] > GRADCHECK_TOL for r in rows)
     return 1 if failed else 0
 

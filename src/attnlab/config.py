@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -115,18 +117,14 @@ class AttentionConfig:
             object.__setattr__(self, "d_c", require_int("d_c", self.d_c, 1, self.d))
         if not isinstance(self.qk_norm, bool):
             raise ConfigurationError(f"qk_norm must be a bool, got {self.qk_norm!r}")
-        if self.softmax_scale is None:
+        s = self.softmax_scale
+        if s is None:
             object.__setattr__(self, "softmax_scale", 1.0 / math.sqrt(self.d_h))
+        elif (isinstance(s, bool) or not isinstance(s, numbers.Real)
+              or not 0.0 < s <= sys.float_info.max):  # NaN fails every comparison
+            raise ConfigurationError(f"softmax_scale must be a finite positive number, got {s!r}")
         else:
-            try:
-                s = float(self.softmax_scale)
-            except (TypeError, ValueError):
-                s = math.nan  # not a number: rejected as non-finite below
-            if not math.isfinite(s) or s <= 0.0:
-                raise ConfigurationError(
-                    f"softmax_scale must be finite and positive, got {self.softmax_scale!r}"
-                )
-            object.__setattr__(self, "softmax_scale", s)
+            object.__setattr__(self, "softmax_scale", float(s))
 
     def to_json_dict(self) -> dict:
         """Every field, in declaration order; the mechanism by its name."""

@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError
+from .errors import DimensionError, NumericalError
 
 REL_TOL = 1e-12
 MAX_SWEEPS = 60
@@ -191,9 +191,7 @@ def _check_finite(a: np.ndarray, batch: tuple[int, ...], what: str) -> None:
         raise NumericalError(f"{_member(batch, np.argmax(bad))} {what}")
 
 
-def jacobi_eigh(
-    A: np.ndarray, max_sweeps: int = MAX_SWEEPS
-) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of symmetric A.
 
     A is one n x n matrix or a (..., n, n) stack of them. Returns (evals, V),
@@ -204,11 +202,9 @@ def jacobi_eigh(
     infinite entry raises NumericalError, ahead of the symmetry check, and so
     do a symmetrized entry that overflows (entries near the float64 maximum)
     and a Frobenius norm that overflows (entries near 1e154 and up). On a
-    stack, each error names the first member at fault. A negative max_sweeps
-    raises ParameterError; max_sweeps=0 only tests convergence.
+    stack, each error names the first member at fault, and so does one that
+    has not converged after MAX_SWEEPS sweeps (read at call time).
     """
-    if max_sweeps < 0:
-        raise ParameterError(f"max_sweeps must be >= 0, got {max_sweeps}")
     A = np.asarray(A, dtype=np.float64)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {A.shape}")
@@ -254,7 +250,7 @@ def jacobi_eigh(
         aw[:, :n, :n] = a[members]
         aw[:, :, m:] = np.eye(m)
         tol = threshold[members]
-        for sweep in range(max_sweeps + 1):
+        for sweep in range(MAX_SWEEPS + 1):
             off = off_diagonal_norm(aw[:, :, :m])
             done = off <= tol
             converged = np.count_nonzero(done)
@@ -265,9 +261,9 @@ def jacobi_eigh(
                 final[idx[done]] = aw[done]
                 keep = ~done
                 idx, tol, off, aw = idx[keep], tol[keep], off[keep], aw[keep]
-            if sweep == max_sweeps:
+            if sweep == MAX_SWEEPS:
                 raise NumericalError(
-                    f"Jacobi sweeps did not converge in {max_sweeps} sweeps "
+                    f"Jacobi sweeps did not converge in {MAX_SWEEPS} sweeps "
                     f"({_member(batch, idx[0])}: off-diagonal norm {off[0]:g}, "
                     f"threshold {tol[0]:g})"
                 )

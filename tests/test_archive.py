@@ -461,6 +461,12 @@ def test_huge_claimed_shape_fails_before_any_allocation(tmp_path, traced_peak):
     assert peak < 64 * 1024
 
 
+def _rewrite_blob(p, header, blob):
+    header["checksum"] = zlib.crc32(blob) & 0xFFFFFFFF
+    raw = json.dumps(header).encode()
+    p.write_bytes(struct.pack("<Q", len(raw)) + raw + blob)
+
+
 def _write_with_gap_and_tail(w, p, gap, tail):
     """Archive ``w`` with ``gap`` between its first two tensors and ``tail``
     after the last, checksummed over the whole blob."""
@@ -472,34 +478,26 @@ def _write_with_gap_and_tail(w, p, gap, tail):
     cut = header["tensors"][1]["offset"]
     for entry in header["tensors"][1:]:
         entry["offset"] += len(gap)
-    blob = blob[:cut] + gap + blob[cut:] + tail
-    header["checksum"] = zlib.crc32(blob) & 0xFFFFFFFF
-    raw = json.dumps(header).encode()
-    p.write_bytes(struct.pack("<Q", len(raw)) + raw + blob)
-    return 8 + len(raw) + cut  # the gap's first byte in the file
+    _rewrite_blob(p, header, blob[:cut] + gap + blob[cut:] + tail)
 
 
-def test_gap_and_trailing_bytes_read_back_and_are_checksummed(tmp_path):
-    config = cfg(Mechanism.LRKV, r=3)
-    w = init_weights(config, RngSpec(seed=16))
+@pytest.mark.parametrize("gap, tail, message", [
+    (b"\x01" * 13, b"", "tensor wq.1: offset 2317 leaves a gap of 13 bytes"),
+    (b"", b"\x02" * 7, "7 trailing bytes after the last tensor"),
+], ids=["gap", "tail"])
+def test_gap_or_trailing_bytes_are_rejected(gap, tail, message, tmp_path):
+    """Bytes that belong to no tensor are never written, so a read rejects
+    them, checksum intact, before it allocates a field."""
     p = tmp_path / "w.bin"
-    gap_at = _write_with_gap_and_tail(w, p, b"\x01" * 13, b"\x02" * 7)
-    again = read_archive(p)
-    for field in tensor_shapes(config):
-        assert getattr(again, field).tobytes() == getattr(w, field).tobytes(), field
-        assert getattr(again, field).ctypes.data % ALIGNMENT == 0, field
-    whole = p.read_bytes()
-    for i in (gap_at, gap_at + 12, len(whole) - 7, len(whole) - 1):
-        flipped = bytearray(whole)
-        flipped[i] ^= 0xFF
-        p.write_bytes(bytes(flipped))
-        with pytest.raises(ArchiveError, match="checksum"):
-            read_archive(p)
+    _write_with_gap_and_tail(init_weights(cfg(Mechanism.LRKV, r=3), RngSpec(seed=16)),
+                             p, gap, tail)
+    with pytest.raises(ArchiveError, match=message):
+        read_archive(p)
 
 
-def test_mixed_dtype_field_reads_at_the_wider_dtype(tmp_path):
-    """wq.0 stored as f32 beside an f64 wq.1: the wq field is f64, and the
-    f32 matrix is read through a buffer of its own dtype."""
+def test_mixed_dtype_field_is_rejected(tmp_path):
+    """wq.0 stored as f32 beside an f64 wq.1, checksum intact: a field's
+    matrices share one dtype, so the read names wq.1 against wq.0."""
     w = init_weights(cfg(Mechanism.MQA), RngSpec(seed=23))
     p = tmp_path / "w.bin"
     write_archive(w, p)
@@ -508,18 +506,27 @@ def test_mixed_dtype_field_reads_at_the_wider_dtype(tmp_path):
     header = json.loads(data[8 : 8 + n])
     first = header["tensors"][0]
     narrow = w.wq[0].astype("<f4").tobytes()
-    blob = narrow + data[8 + n + first["length"] :]
     for entry in header["tensors"][1:]:
         entry["offset"] -= first["length"] - len(narrow)
+    blob = narrow + data[8 + n + first["length"] :]
     first.update(dtype="f32", length=len(narrow))
-    header["checksum"] = zlib.crc32(blob) & 0xFFFFFFFF
-    raw = json.dumps(header).encode()
-    p.write_bytes(struct.pack("<Q", len(raw)) + raw + blob)
-    again = read_archive(p)
-    assert again.wq.dtype == np.float64 and again.wq.ctypes.data % ALIGNMENT == 0
-    assert np.array_equal(again.wq[0], w.wq[0].astype(np.float32))
-    assert again.wq[1].tobytes() == w.wq[1].tobytes()
-    assert again.wk_shared.tobytes() == w.wk_shared.tobytes()
+    _rewrite_blob(p, header, blob)
+    with pytest.raises(ArchiveError, match=r"tensor wq\.1: dtype f64, but wq\.0 is f32"):
+        read_archive(p)
+
+
+def test_out_of_order_manifest_is_rejected(tmp_path):
+    """wq.1 listed first at offset 0, then wq.0, checksum intact: the
+    layout's order is part of the format."""
+    p = tmp_path / "w.bin"
+    write_archive(init_weights(cfg(Mechanism.MQA), RngSpec(seed=24)), p)
+    data = p.read_bytes()
+    (n,) = struct.unpack("<Q", data[:8])
+    header = json.loads(data[8 : 8 + n])
+    header["tensors"][0]["name"], header["tensors"][1]["name"] = "wq.1", "wq.0"
+    _rewrite_blob(p, header, data[8 + n :])
+    with pytest.raises(ArchiveError, match="tensor wq.1: out of order, the layout lists wq.0"):
+        read_archive(p)
 
 
 def test_corrupt_and_mislaid_archive_names_the_layout(tmp_path):

@@ -203,6 +203,41 @@ def test_ablate_custom_ranks(tmp_path):
     assert float(rows[1]["cache_pct"]) == pytest.approx(66.667, abs=5e-3)
 
 
+# Whole CSVs, byte for byte (the csv module ends each row with CRLF). The
+# memory table is README's block verbatim. The mha verify rows hold only
+# integers and empty cells (no factored path, no diffs), and the ablation's
+# figures are exact at their printed digits, so each pin holds on any host.
+CSV_PINS = {
+    "memory": (["memory", "--preset", "128M", "--tokens", "2048", "--batch", "1",
+                "--bytes", "2"], """\
+mechanism,cache_bytes,cache_mib,ratio_vs_mha,ratio_formula,kv_param_count
+mha,75497472,72.0,1.000,1.000,1179648
+mqa,12582912,12.0,0.167,0.167,196608
+gqa,37748736,36.0,0.500,0.500,589824
+mla,12582912,12.0,0.167,,294912
+lrkv,50331648,48.0,0.667,0.526,884736
+"""),
+    "verify": (["verify", "--config-json", "{mha}", "--tokens", "8", "--trials", "2"], """\
+trial,mechanism,T,dtype,max_logit_diff,max_out_diff,explicit_elems_touched,factored_elems_touched
+0,mha,8,float64,,,1168,
+1,mha,8,float64,,,1168,
+"""),
+    "ablate": (["ablate", "--preset", "128M", "--ranks", "0,64", "--tokens", "128"], """\
+r,cache_ratio,cache_pct,cache_bytes,kv_param_count,decode_flops,flops_overhead_vs_mha
+0,0.166667,16.667,786432,196608,1969920,0.000000
+64,0.666667,66.667,3145728,884736,3542784,1.000000
+"""),
+}
+
+
+@pytest.mark.parametrize("command", CSV_PINS)
+def test_csv_bytes_are_pinned(tmp_path, capsys, command):
+    argv, text = CSV_PINS[command]
+    mha = write_config(tmp_path, AttentionConfig(mechanism=Mechanism.MHA, d=32, H=2, d_h=16))
+    assert run_cli([a.format(mha=mha) for a in argv] + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == text.replace("\n", "\r\n")
+
+
 def test_diversity_writes_four_reports(tmp_path):
     cfg_path = write_config(tmp_path, LRKV_SMALL)
     archive = str(tmp_path / "w.bin")

@@ -150,6 +150,9 @@ def test_rng_spec_rejects_bool_seed(seed):
 @pytest.mark.parametrize("field,value", [
     ("softmax_scale", "abc"),
     ("softmax_scale", [0.5]),
+    ("softmax_scale", "0.5"),  # a number only in quotes
+    ("softmax_scale", True),
+    pytest.param("softmax_scale", 10**400, id="softmax_scale-int-past-float-range"),
     ("qk_norm", "yes"),
     ("qk_norm", 1),
 ])

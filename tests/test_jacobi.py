@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attnlab import DimensionError, NumericalError, ParameterError
-from attnlab.jacobi import MAX_SWEEPS, jacobi_eigh, off_diagonal_norm, round_robin
+from attnlab import DimensionError, NumericalError
+from attnlab import jacobi
+from attnlab.jacobi import jacobi_eigh, off_diagonal_norm, round_robin
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -86,11 +87,12 @@ def test_tolerates_roundoff_asymmetry():
     jacobi_eigh(A)  # must not raise
 
 
-def test_nonconvergence_is_reported():
+def test_nonconvergence_is_reported(monkeypatch):
     rng = np.random.default_rng(4)
     A = random_symmetric(rng, 8)
+    monkeypatch.setattr(jacobi, "MAX_SWEEPS", 0)
     with pytest.raises(NumericalError):
-        jacobi_eigh(A, max_sweeps=0)
+        jacobi_eigh(A)
 
 
 def test_off_diagonal_norm():
@@ -231,7 +233,7 @@ def test_stack_of_trivial_matrices(n):
 
 
 @pytest.mark.parametrize("n", [6, 24])
-def test_members_that_converge_in_different_sweeps(n):
+def test_members_that_converge_in_different_sweeps(n, monkeypatch):
     """A diagonal member is converged before its first sweep, a zero member
     returns (0, I), a 1e0..1e-12 spectrum and random members take more
     sweeps: members leave the stack at different times, and each still
@@ -247,18 +249,19 @@ def test_members_that_converge_in_different_sweeps(n):
         random_stack(2, (), n) * 1e-6,
     ])
     assert_stack_equals_solo_calls(A)
-    # The diagonal and zero members need no sweep; the others do.
+    evals, V = jacobi_eigh(A)
+    # The diagonal and zero members need no sweep; the others need more than one.
     for i, needs_a_sweep in enumerate([True, False, False, True, True]):
+        monkeypatch.setattr(jacobi, "MAX_SWEEPS", 1 if needs_a_sweep else 0)
         if needs_a_sweep:
             with pytest.raises(NumericalError):
-                jacobi_eigh(A[i], max_sweeps=1)
+                jacobi_eigh(A[i])
         else:
-            jacobi_eigh(A[i], max_sweeps=0)
-    evals, V = jacobi_eigh(A)
+            jacobi_eigh(A[i])
     assert np.array_equal(evals[2], np.zeros(n)) and np.array_equal(V[2], np.eye(n))
 
 
-def test_stacked_errors_name_the_member():
+def test_stacked_errors_name_the_member(monkeypatch):
     A = np.stack([np.eye(3)] * 4)
     A[2, 0, 1] = 1.0  # asymmetric
     with pytest.raises(DimensionError, match=r"matrix 2 is not symmetric"):
@@ -267,18 +270,13 @@ def test_stacked_errors_name_the_member():
     B[1, 2, 0, 0] = np.nan
     with pytest.raises(NumericalError, match=r"matrix \(1, 2\) has non-finite"):
         jacobi_eigh(B)
-    C = np.stack([np.eye(4), np.eye(4), random_stack(3, (), 4), random_stack(4, (), 4)])
-    with pytest.raises(NumericalError, match=r"did not converge in 0 sweeps \(matrix 2:"):
-        jacobi_eigh(C, max_sweeps=0)
     D = np.stack([np.eye(3), np.full((3, 3), 1e200)])
     with pytest.raises(NumericalError, match=r"matrix 1 norm overflows"):
         jacobi_eigh(D)
-
-
-def test_negative_max_sweeps_is_rejected():
-    for A in (np.eye(1), np.eye(3), np.stack([np.eye(3)] * 2)):
-        with pytest.raises(ParameterError, match="max_sweeps"):
-            jacobi_eigh(A, max_sweeps=-1)
+    C = np.stack([np.eye(4), np.eye(4), random_stack(3, (), 4), random_stack(4, (), 4)])
+    monkeypatch.setattr(jacobi, "MAX_SWEEPS", 0)
+    with pytest.raises(NumericalError, match=r"did not converge in 0 sweeps \(matrix 2:"):
+        jacobi_eigh(C)
 
 
 def test_rejects_non_square_stacks():

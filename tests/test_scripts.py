@@ -112,7 +112,17 @@ def test_bench_pairs_metric_summary():
     # Within noise: medians apart by less than the parent's IQR.
     n = pairs.summarize_metric(parent, [12.5, 11.0, 13.5, 12.0, 14.0], "lower", 0.25)
     assert not n["median_diff_exceeds_parent_iqr"] and not n["worse_than_bound"]
+    assert not (s["unresolved"] or t["unresolved"] or n["unresolved"])  # IQR 2/12 < 0.25
     assert "worse_than_bound" not in pairs.summarize_metric(parent, parent, "lower", None)
+    # A parent whose IQR is 60% of its median cannot resolve a 25% bound...
+    wide = [10.0, 14.0, 20.0, 26.0, 30.0]
+    assert pairs.summarize_metric(wide, wide, "lower", 0.25)["unresolved"]
+    assert pairs.summarize_metric(wide, [9.0, 13.0, 19.0, 25.0, 29.0], "lower", 0.25)["unresolved"]
+    assert not pairs.summarize_metric(wide, wide, "lower", 0.7)["unresolved"]
+    # ...unless every change run beats every parent run, in the metric's direction.
+    assert not pairs.summarize_metric(wide, [5.0, 6.0, 7.0, 8.0, 9.0], "lower", 0.25)["unresolved"]
+    assert pairs.summarize_metric(wide, [5.0, 6.0, 7.0, 8.0, 9.0], "higher", 0.25)["unresolved"]
+    assert not pairs.summarize_metric(wide, [31.0, 32.0, 33.0, 34.0, 40.0], "higher", 0.25)["unresolved"]
 
 
 def test_bench_pairs_claim_needs_wins_ratio_and_spread():
