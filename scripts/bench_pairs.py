@@ -4,12 +4,15 @@
         --seeds 2001-2010 --claim long-generation:svd_compare_s:0.6 --what "..."
 
 Each revision of this repository is exported with ``git archive`` into
-DIR/parent and DIR/change: fresh trees at paths of equal length, because the
-checkout path alone has been seen to move gemv speed by 25%. For every
-workload of BENCHMARK.json, pair i runs ``bench/run.py --trace 0`` once on
-each side with seed i, for the benchmark's run_seconds, the parent first in
-even pairs and the change first in odd ones; the last pair uses the held-out
-seed 7919. Every end-to-end metric is summarized per workload: both sides'
+DIR/tree-a or DIR/tree-b: fresh trees at paths of equal length, because the
+checkout path alone has been seen to move gemv speed by 25%, and one of two
+such paths has read 5-10% slower than the other whatever its code. So the
+trees trade directories (by renaming) in a four-pair cycle: the parent sits
+in tree-a in pairs 4k and 4k+1 and in tree-b in pairs 4k+2 and 4k+3, and
+crossed with that, the parent runs first in even pairs and the change first
+in odd ones (``pair_plan``). For every workload of BENCHMARK.json, pair i
+runs ``bench/run.py --trace 0`` once on each side with seed i, for the
+benchmark's run_seconds; the last pair uses the held-out seed 7919. Every end-to-end metric is summarized per workload: both sides'
 quartiles and medians, the ratio of the medians, the pairs each side won,
 whether the medians differ by more than the parent's interquartile range,
 and whether the metric is unresolved: its parent's interquartile range, as a
@@ -37,7 +40,8 @@ import numpy as np
 HELD_OUT_SEED = 7919
 TRACE_SEED = 1031
 REPO = Path(__file__).resolve().parents[1]
-SIDES = ("parent", "change")  # equal lengths: the trees sit at equal-length paths
+SIDES = ("parent", "change")
+DIRS = ("tree-a", "tree-b")  # equal lengths: the trees sit at equal-length paths
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -47,6 +51,22 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds += range(int(lo), int(hi or lo) + 1)
     return seeds
+
+
+def pair_plan(i: int) -> tuple[str, dict[str, str]]:
+    """The side that runs first in pair i, and the directory each side's
+    tree sits in: the lead alternates every pair, the directories every two
+    pairs, so four pairs hold each combination once."""
+    swapped = i // 2 % 2
+    return SIDES[i % 2], {side: DIRS[(k + swapped) % 2] for k, side in enumerate(SIDES)}
+
+
+def swap_trees(scratch: Path) -> None:
+    """Exchange the two trees' directories by renaming."""
+    a, b = (scratch / d for d in DIRS)
+    a.rename(scratch / "swap")
+    b.rename(a)
+    (scratch / "swap").rename(b)
 
 
 def quartiles(values) -> dict[str, float]:
@@ -170,21 +190,25 @@ def main(argv=None) -> int:
     ap.add_argument("--what", default="", help="one line on what the change does")
     args = ap.parse_args(argv)
 
-    trees = {side: args.scratch / side for side in SIDES}
-    revisions = {side: export(rev, trees[side])
+    home = pair_plan(0)[1]  # where each side's tree sits now
+    revisions = {side: export(rev, args.scratch / home[side])
                  for side, rev in zip(SIDES, (args.parent, args.change))}
-    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    spec = json.loads((args.scratch / home["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     seeds = args.seeds + [HELD_OUT_SEED]
-    first = [SIDES[i % 2] for i in range(len(seeds))]
+    plans = [pair_plan(i) for i in range(len(seeds))]
+    first = [lead for lead, _ in plans]
 
     env, blocks = {}, {}
     for workload in workloads:
         runs = {side: [] for side in SIDES}
-        for seed, lead in zip(seeds, first):
+        for seed, (lead, dirs) in zip(seeds, plans):
+            if dirs != home:
+                swap_trees(args.scratch)
+                home = dirs
             for side in (lead, SIDES[1 - SIDES.index(lead)]):
-                r = run_bench(trees[side], workload, seed, seconds, 0)
+                r = run_bench(args.scratch / home[side], workload, seed, seconds, 0)
                 env = env or r["env"]
                 runs[side].append(r)
                 print(f"{workload} seed {seed} {side}: exit {r['exit_code']}", file=sys.stderr)
@@ -197,8 +221,10 @@ def main(argv=None) -> int:
         "method": {
             "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
             "run_seconds": seconds, "trace": 0,
-            "trees": "git archive of each revision at paths of equal length",
+            "trees": f"git archive of each revision into {' and '.join(DIRS)}, paths of equal "
+                     "length; the trees trade directories by renaming every two pairs",
             "order": "parent first in even-numbered pairs, change first in odd-numbered pairs",
+            "parent_tree_in_pair": [dirs["parent"] for _, dirs in plans],
             "quartiles": "numpy.percentile, linear interpolation, over the pairs' runs",
             "win": "a pair is won when the change's run is strictly better in the metric's direction",
             "worse_than_bound": "the ratio of medians is past 1 + bound (lower is better) "
@@ -226,7 +252,7 @@ def main(argv=None) -> int:
         out["trace"] = {"note": f"one --trace 1 run per side, {args.trace_workload} seed "
                                 f"{TRACE_SEED}; per-layer metrics of BENCHMARK.json (no bounds)"}
         for side in SIDES:
-            r = run_bench(trees[side], args.trace_workload, TRACE_SEED, seconds, 1)
+            r = run_bench(args.scratch / home[side], args.trace_workload, TRACE_SEED, seconds, 1)
             out["trace"][side] = {k: r[k] for k in ("exit_code", "correct", "metrics")}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0

@@ -34,12 +34,11 @@ from .costs import (
     kv_param_count,
 )
 from .diversity import (
-    BilinearFormSet,
-    GramMatrix,
     MagnitudeReport,
     SpectrumReport,
     bilinear_forms,
     center_gram,
+    cosine,
     diversity_report,
     factorization_gap,
     gram,
@@ -51,7 +50,6 @@ from .errors import (
     ArchiveError,
     CapacityError,
     ConfigurationError,
-    DegenerateHeadError,
     DimensionError,
     LabError,
     NumericalError,
@@ -82,8 +80,8 @@ __all__ = [
     "MIB", "CostQuery", "CostReport", "cache_bytes", "cache_ratio",
     "kv_param_count", "decode_flops", "decode_flops_breakdown",
     "ablation_table", "cost_report",
-    "BilinearFormSet", "GramMatrix", "SpectrumReport", "MagnitudeReport",
-    "bilinear_forms", "gram", "center_gram", "spectrum",
+    "SpectrumReport", "MagnitudeReport",
+    "bilinear_forms", "gram", "cosine", "center_gram", "spectrum",
     "diversity_report", "magnitude_report", "svd_truncate",
     "factorization_gap", "jacobi_eigh",
     "PRESET_NAMES", "PRESETS", "ScalePreset", "get_preset", "config_for",
@@ -91,7 +89,7 @@ __all__ = [
     "gradcheck_rows",
     "LabError", "ConfigurationError", "DimensionError", "NumericalError",
     "CapacityError", "UnsupportedModeError", "UnsupportedMechanismError",
-    "DegenerateHeadError", "ParameterError", "ArchiveError",
+    "ParameterError", "ArchiveError",
 ]
 
 __version__ = "0.1.0"

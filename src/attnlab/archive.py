@@ -100,10 +100,7 @@ def write_archive(weights: WeightSet, path) -> None:
         "config": weights.config.to_json_dict(),
         "tensors": manifest,
     }
-    try:
-        header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    except TypeError as e:  # a field the mechanism never reads may hold anything
-        raise ArchiveError(f"config cannot be stored in the header: {e}") from None
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:  # as given: Path('') would name '.'
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)

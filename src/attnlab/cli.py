@@ -53,7 +53,7 @@ from .diversity import diversity_report, factorization_gap
 from .errors import ConfigurationError, LabError
 from .gradcheck import GRADCHECK_TOL, gradcheck_rows
 from .archive import read_archive, write_archive
-from .presets import PRESET_NAMES, config_for, get_preset
+from .presets import MEASURED_RANK, PRESET_NAMES, config_for, get_preset
 from .weights import init_weights
 
 EQUIVALENCE_TOL = {"float64": 1e-9, "float32": 1e-5}
@@ -80,6 +80,9 @@ def _apply_overrides(config: AttentionConfig, sets: list[str] | None) -> Attenti
         if "=" not in item:
             raise ConfigurationError(f"--set expects field=value, got {item!r}")
         key, raw = item.split("=", 1)
+        if key == "mechanism":  # the tables label rows by the mechanism they asked for
+            raise ConfigurationError("--set cannot change the mechanism; "
+                                     "use --mechanism or --config-json")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
@@ -286,7 +289,7 @@ def _add_config_source(p, mechanism=True, config_json=True, rank=True):
                        help="attention mechanism (default: lrkv)")
     if rank:
         p.add_argument("--rank", type=int, default=None,
-                       help="low-rank residual rank (default: preset's measured rank)")
+                       help=f"low-rank residual rank (default: {MEASURED_RANK})")
     p.add_argument("--set", action="append", metavar="FIELD=VALUE",
                    help="override a config field (repeatable)")
 

@@ -1,17 +1,14 @@
 """Attention mechanism configuration: the single source of shape truth.
 
 Five mechanisms share one config record. A field is only meaningful for the
-mechanisms that use it (r for LRKV, d_c for MLA, G for GQA); operations must
-never read a field that is irrelevant to the configured mechanism, and
-validation follows the same rule — an MHA config with a nonsensical ``r`` is
-legal because nothing will ever look at it. Such a field is stored as given,
-except that an integer one (anything ``operator.index`` takes, bools aside)
-is stored as a Python int, as a checked field is, so that it serializes.
+mechanisms that use it (r for LRKV, d_c for MLA, G for GQA), and operations
+never read a field that is irrelevant to the configured mechanism; but every
+field is checked whatever the mechanism, so a config holds no junk, each
+integer field is stored as a Python int and the whole record serializes.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import operator
@@ -101,20 +98,11 @@ class AttentionConfig:
             raise ConfigurationError(
                 f"d must equal H * d_h: d={self.d}, H={self.H}, d_h={self.d_h}"
             )
-        for name in ("r", "d_c", "G"):  # the one this mechanism reads is checked below
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                with contextlib.suppress(TypeError):
-                    object.__setattr__(self, name, operator.index(value))
-        m = self.mechanism
-        if m is Mechanism.GQA:
-            object.__setattr__(self, "G", require_int("G", self.G, 1))
-            if self.H % self.G != 0:
-                raise ConfigurationError(f"GQA requires H mod G = 0: H={self.H}, G={self.G}")
-        if m is Mechanism.LRKV:
-            object.__setattr__(self, "r", require_int("r", self.r, 0, self.d))
-        if m is Mechanism.MLA:
-            object.__setattr__(self, "d_c", require_int("d_c", self.d_c, 1, self.d))
+        object.__setattr__(self, "r", require_int("r", self.r, 0, self.d))
+        object.__setattr__(self, "d_c", require_int("d_c", self.d_c, 1, self.d))
+        object.__setattr__(self, "G", require_int("G", self.G, 1))
+        if self.H % self.G != 0:
+            raise ConfigurationError(f"GQA requires H mod G = 0: H={self.H}, G={self.G}")
         if not isinstance(self.qk_norm, bool):
             raise ConfigurationError(f"qk_norm must be a bool, got {self.qk_norm!r}")
         s = self.softmax_scale

@@ -6,7 +6,7 @@ nor anything downstream. All similarity analysis therefore runs on the
 A_h, never on raw projection factors.
 
 The forms are d x d and never need to be materialized to compare them.
-``BilinearFormSet`` keeps their factors as two (H, d, d_h) stacks, Wq and
+``bilinear_forms`` returns their factors as two (H, d, d_h) stacks, Wq and
 each head's slice of the ``effective_weights`` expansion of K (V is never
 built), and
 
@@ -17,10 +17,12 @@ evaluates it, pair by pair (every j >= i): its working memory beyond G is
 those two products and their elementwise product, whatever H is. Nothing
 here forms an A_h; a cross-check can, as ``wq[h] @ wk[h].T``.
 
-Spectral summaries follow the kernel-PCA recipe: cosine-normalize the Gram,
-double-center it, take the eigenvalues (round-robin Jacobi), and report the
-exp-entropy effective rank — a smooth count of independent directions the
-heads actually span around their mean.
+Spectral summaries follow the kernel-PCA recipe: scale the Gram to cosine
+similarities (``cosine``, the one normalization, which reports a zero-norm
+head rather than raising), double-center it, take the eigenvalues
+(round-robin Jacobi), and report the exp-entropy effective rank — a smooth
+count of independent directions the heads actually span around their mean.
+Every Gram here is a plain (H, H) float64 array.
 """
 
 from __future__ import annotations
@@ -30,43 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AttentionConfig, Mechanism, require_mechanism
-from .errors import (
-    DegenerateHeadError,
-    DimensionError,
-    NumericalError,
-    ParameterError,
-)
+from .errors import DimensionError, NumericalError, ParameterError
 from .jacobi import jacobi_eigh
 from .weights import WeightSet, effective_weights, gqa_group
 
 # Eigenvalues of a PSD Gram this far below zero are roundoff; further is not.
 EIGENVALUE_CLIP = -1e-10
 CUMULATIVE_TARGET = 0.90
-
-
-@dataclass(frozen=True)
-class BilinearFormSet:
-    """Per-head bilinear forms as factors: (H, d, d_h) stacks of Wq and W^K."""
-
-    wq: np.ndarray
-    wk: np.ndarray
-
-    @property
-    def H(self) -> int:
-        return self.wq.shape[0]
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Pairwise Frobenius inner products of the head forms."""
-
-    G: np.ndarray
-    normalized: bool
-    centered: bool
-
-    @property
-    def H(self) -> int:
-        return self.G.shape[0]
 
 
 @dataclass(frozen=True)
@@ -96,25 +68,20 @@ def _per_head(stack: np.ndarray, H: int) -> np.ndarray:
     return stack[gqa_group(np.arange(H), H, len(stack))]
 
 
-def bilinear_forms(w: WeightSet, config: AttentionConfig) -> BilinearFormSet:
-    """Stack each head's (Wq, effective W^K) factor pair."""
+def bilinear_forms(w: WeightSet, config: AttentionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Each head's (Wq, effective W^K) factor pair, as two (H, d, d_h) stacks."""
     wk = _per_head(effective_weights(w, config, "k"), config.H)
     # head by head, so the boolean temporaries are one (d, d_h) head's
     for h in range(config.H):
         if not (np.isfinite(w.wq[h]).all() and np.isfinite(wk[h]).all()):
             raise NumericalError(f"non-finite projection factors at head {h}")
-    return BilinearFormSet(wq=w.wq, wk=wk)
+    return w.wq, wk
 
 
-def gram(forms: BilinearFormSet, normalize: bool) -> GramMatrix:
-    """Gram matrix of the head forms under the Frobenius inner product.
-
-    With ``normalize`` the entries are cosine similarities s_ij in [-1, 1];
-    a head whose form has zero norm cannot be normalized and raises
-    DegenerateHeadError naming it.
-    """
-    H = forms.H
-    wq, wk = forms.wq, forms.wk
+def gram(wq: np.ndarray, wk: np.ndarray) -> np.ndarray:
+    """Raw (H, H) Gram matrix of the head forms under the Frobenius inner
+    product, from the factor stacks of ``bilinear_forms``."""
+    H = len(wq)
     G = np.empty((H, H), dtype=np.float64)
     for i in range(H):
         for j in range(i, H):
@@ -123,45 +90,39 @@ def gram(forms: BilinearFormSet, normalize: bool) -> GramMatrix:
             P = wk[i].T @ wk[j]
             Q = wq[j].T @ wq[i]
             G[i, j] = G[j, i] = np.sum(P * Q.T)
-    if not normalize:
-        return GramMatrix(G=G, normalized=False, centered=False)
-    G, degenerate = _cosine(G)
-    if degenerate:
-        raise DegenerateHeadError(f"head {degenerate[0]} has a zero-norm bilinear form; "
-                                  "cosine similarity undefined")
-    return GramMatrix(G=G, normalized=True, centered=False)
+    return G
 
 
-def _cosine(G: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Cosine-normalize a raw Gram; also return its zero-norm heads, whose
-    unit denominators leave their rows/columns at the raw (zero) products."""
+def cosine(G: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Scale a raw Gram to cosine similarities s_ij in [-1, 1]; also
+    return its zero-norm heads, whose unit denominators leave their
+    rows/columns at the raw (zero) products."""
     norms = np.sqrt(np.clip(np.diag(G), 0.0, None))
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
     return G / np.outer(safe, safe), tuple(int(h) for h in np.flatnonzero(zero))
 
 
-def center_gram(g: GramMatrix) -> GramMatrix:
+def center_gram(G: np.ndarray) -> np.ndarray:
     """Double-center: subtract row and column means, add back the grand mean.
 
     Removes the heads' mean direction before spectral analysis, so the
     spectrum measures variance *around* the mean form. Idempotent.
     """
-    G = g.G
     row = G.mean(axis=1, keepdims=True)
     col = G.mean(axis=0, keepdims=True)
     grand = G.mean()
-    return GramMatrix(G=G - row - col + grand, normalized=g.normalized, centered=True)
+    return G - row - col + grand
 
 
-def spectrum(g: GramMatrix) -> SpectrumReport:
+def spectrum(G: np.ndarray) -> SpectrumReport:
     """Eigenvalues, variance fractions, and exp-entropy effective rank.
 
     Slightly negative eigenvalues (roundoff on a PSD matrix) are floored to
     zero; anything materially negative means the input was not a Gram
     matrix and raises NumericalError.
     """
-    evals, _ = jacobi_eigh(g.G)
+    evals, _ = jacobi_eigh(G)
     if evals.size and float(evals.min()) < EIGENVALUE_CLIP:
         raise NumericalError(
             f"Gram spectrum has eigenvalue {evals.min():g} below {EIGENVALUE_CLIP:g}"
@@ -199,19 +160,15 @@ def spectrum(g: GramMatrix) -> SpectrumReport:
 def diversity_report(w: WeightSet, config: AttentionConfig) -> dict:
     """Full similarity/spectrum summary for one layer's heads.
 
-    Returns a dict with the normalized similarity matrix, the uncentered
-    and centered SpectrumReports, and any degenerate (zero-form) heads.
-    Degenerate heads are reported, not raised.
+    Returns a dict with the cosine similarity matrix, the uncentered and
+    centered SpectrumReports, and any degenerate (zero-form) heads.
     """
-    G, degenerate_heads = _cosine(gram(bilinear_forms(w, config), normalize=False).G)
-    sim = GramMatrix(G=G, normalized=True, centered=False)
-    uncentered = spectrum(sim)
-    centered = spectrum(center_gram(sim))
+    sim, degenerate_heads = cosine(gram(*bilinear_forms(w, config)))
     return {
         "H": config.H,
-        "similarity": sim.G,
-        "uncentered": uncentered,
-        "centered": centered,
+        "similarity": sim,
+        "uncentered": spectrum(sim),
+        "centered": spectrum(center_gram(sim)),
         "degenerate_heads": degenerate_heads,
     }
 

@@ -34,10 +34,6 @@ class UnsupportedMechanismError(LabError):
     """The requested operation is undefined for this attention mechanism."""
 
 
-class DegenerateHeadError(LabError):
-    """A head's bilinear form has zero norm and cannot be normalized."""
-
-
 class ParameterError(LabError):
     """An operation argument is out of its documented range."""
 

@@ -27,6 +27,7 @@ from attnlab import (
     cache_ratio,
     center_gram,
     config_for,
+    cosine,
     decode_explicit,
     decode_factored,
     decode_flops,
@@ -40,7 +41,7 @@ from attnlab import (
     svd_truncate,
 )
 from attnlab.cli import run_cli
-from attnlab.diversity import BilinearFormSet, GramMatrix, bilinear_forms
+from attnlab.diversity import bilinear_forms
 
 TOL_F64 = 1e-9
 TOL_F32 = 1e-5
@@ -123,10 +124,10 @@ def test_criterion_02_latent_factored_decode_exactness():
         assert out <= TOL_F64, (trial, config, out)
 
 
-def _memory_rows(tmp_path):
+def _memory_rows(tmp_path, *extra):
     out = str(tmp_path / "memory.csv")
     code = run_cli(["memory", "--preset", "128M", "--tokens", "2048",
-                    "--batch", "1", "--bytes", "2", "--out", out])
+                    "--batch", "1", "--bytes", "2", *extra, "--out", out])
     assert code == 0
     with open(out, newline="") as f:
         return list(csv.DictReader(f))
@@ -139,8 +140,11 @@ def test_criterion_03a_cache_table_mebibytes(tmp_path):
     assert mib[0] == "72.0"
     assert mib[1] == "12.0"
     assert mib[2] == "36.0"
-    assert mib[3] in ("24.0", "12.0")  # latent-stream accounting knob
+    assert mib[3] == "12.0"  # the default: two latent streams priced
     assert mib[4] == "48.0"
+    # one stream, the latent a DecodeCache holds
+    mla = _memory_rows(tmp_path, "--mla-streams", "1")[3]
+    assert (mla["mechanism"], mla["cache_mib"]) == ("mla", "6.0")
 
 
 def test_criterion_03b_cache_table_ratio_column(tmp_path):
@@ -235,8 +239,8 @@ def test_criterion_08_head_diversity_suite():
     start = time.perf_counter()
     config = AttentionConfig(mechanism=Mechanism.LRKV, d=96, H=6, d_h=16, r=5)
     w = init_weights(config, RngSpec(seed=8))
-    forms = bilinear_forms(w, config)
-    sim = gram(forms, normalize=True)
+    wq, wk = bilinear_forms(w, config)
+    sim, _ = cosine(gram(wq, wk))
     base_unc = spectrum(sim)
     base_cen = spectrum(center_gram(sim))
 
@@ -244,12 +248,9 @@ def test_criterion_08_head_diversity_suite():
     gen = np.random.default_rng(88)
     for _ in range(20):
         Rs = [_random_orthogonal(gen, config.d_h) for _ in range(config.H)]
-        rotated = BilinearFormSet(
-            wq=np.stack([q @ R for q, R in zip(forms.wq, Rs)]),
-            wk=np.stack([k @ R for k, R in zip(forms.wk, Rs)]),
-        )
-        rsim = gram(rotated, normalize=True)
-        assert np.abs(rsim.G - sim.G).max() <= TOL_GAUGE
+        rsim, _ = cosine(gram(np.stack([q @ R for q, R in zip(wq, Rs)]),
+                              np.stack([k @ R for k, R in zip(wk, Rs)])))
+        assert np.abs(rsim - sim).max() <= TOL_GAUGE
         runc = spectrum(rsim)
         rcen = spectrum(center_gram(rsim))
         assert abs(runc.effective_rank_abs - base_unc.effective_rank_abs) \
@@ -260,15 +261,13 @@ def test_criterion_08_head_diversity_suite():
     # double centering: idempotent, rows and columns sum to zero
     centered = center_gram(sim)
     again = center_gram(centered)
-    assert np.abs(again.G - centered.G).max() <= TOL_CENTER
-    assert np.abs(centered.G.sum(axis=0)).max() <= TOL_CENTER
-    assert np.abs(centered.G.sum(axis=1)).max() <= TOL_CENTER
+    assert np.abs(again - centered).max() <= TOL_CENTER
+    assert np.abs(centered.sum(axis=0)).max() <= TOL_CENTER
+    assert np.abs(centered.sum(axis=1)).max() <= TOL_CENTER
 
     # effective-rank fixtures on known eigenvalue profiles
     def eff(diag):
-        g = GramMatrix(G=np.diag(np.asarray(diag, dtype=np.float64)),
-                       normalized=True, centered=False)
-        return spectrum(g).effective_rank_abs
+        return spectrum(np.diag(np.asarray(diag, dtype=np.float64))).effective_rank_abs
 
     assert abs(eff([0.25] * 4) - 4.0) <= 1e-9
     assert abs(eff([1.0, 0.0, 0.0, 0.0]) - 1.0) <= 1e-9
@@ -298,12 +297,12 @@ def test_criterion_08_head_diversity_suite():
     direct = np.empty((config.H, config.H))
     for i in range(config.H):
         for j in range(config.H):
-            A_i = forms.wq[i] @ forms.wk[i].T
-            A_j = forms.wq[j] @ forms.wk[j].T
+            A_i = wq[i] @ wk[i].T
+            A_j = wq[j] @ wk[j].T
             direct[i, j] = float(np.sum(A_i * A_j))
-    raw = gram(forms, normalize=False)
+    raw = gram(wq, wk)
     denom = np.abs(direct).max()
-    assert np.abs(raw.G - direct).max() / denom <= TOL_TRACE_REL
+    assert np.abs(raw - direct).max() / denom <= TOL_TRACE_REL
 
     assert time.perf_counter() - start < 30.0
 

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import zlib
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from attnlab import (
     ArchiveError,
     AttentionConfig,
+    ConfigurationError,
     Mechanism,
     RngSpec,
     init_weights,
@@ -192,21 +194,20 @@ def test_write_requires_config(tmp_path):
 def test_unread_numpy_int_field_is_stored_as_int_and_archived(field, tmp_path):
     """An MHA config never reads r, d_c or G, yet a numpy integer there is
     kept as a Python int, so the header encodes and reads back."""
-    config = AttentionConfig(mechanism=Mechanism.MHA, d=8, H=2, d_h=4, **{field: np.int64(3)})
-    assert type(getattr(config, field)) is int and getattr(config, field) == 3
+    config = AttentionConfig(mechanism=Mechanism.MHA, d=8, H=2, d_h=4, **{field: np.int64(2)})
+    assert type(getattr(config, field)) is int and getattr(config, field) == 2
     write_archive(init_weights(config, RngSpec(seed=0)), tmp_path / "w.bin")
     assert read_archive(tmp_path / "w.bin").config == config
 
 
-def test_unencodable_unread_field_is_an_archive_error(tmp_path):
-    """An unread field holds what it was given; when that cannot go into the
-    JSON header, the write fails as an ArchiveError and leaves no file."""
-    config = AttentionConfig(mechanism=Mechanism.MHA, d=8, H=2, d_h=4,
-                             r=np.float32(2.5), G=True)
-    assert type(config.r) is np.float32 and config.G is True
-    with pytest.raises(ArchiveError, match="float32"):
-        write_archive(init_weights(config, RngSpec(seed=0)), tmp_path / "w.bin")
-    assert not (tmp_path / "w.bin").exists()
+def test_unencodable_unread_field_is_a_config_error():
+    """An unread field is checked as a read one is, so a value the JSON
+    header could not hold never reaches an archive."""
+    mha = dict(mechanism=Mechanism.MHA, d=8, H=2, d_h=4)
+    with pytest.raises(ConfigurationError, match=re.escape("r must be an int, got np.float32(2.5)")):
+        AttentionConfig(**mha, r=np.float32(2.5))
+    with pytest.raises(ConfigurationError, match="G must be an int, got True"):
+        AttentionConfig(**mha, G=True)
 
 
 @settings(max_examples=15, deadline=None)

@@ -428,6 +428,26 @@ def test_config_json_excludes_preset_mechanism_and_rank(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["flops", "--preset", "128M", "--set", "mechanism=mla"],
+    ["memory", "--preset", "128M", "--set", "mechanism=lrkv"],
+    ["verify", "--preset", "128M", "--mechanism", "mla", "--set", "mechanism=mha",
+     "--tokens", "2", "--trials", "1"],
+    ["ablate", "--preset", "128M", "--set", "mechanism=mha"],
+    ["gen-weights", "--config-json", "CONFIG", "--set", "mechanism=mha"],
+    ["gradcheck", "--config-json", "CONFIG", "--set", "mechanism=lrkv", "--instances", "1"],
+], ids=lambda argv: argv[0])
+def test_set_cannot_change_the_mechanism(tmp_path, capsys, argv):
+    """The tables label each row by the mechanism it asked for, and verify
+    names its mechanism on the command line: --set may not swap it."""
+    config = write_config(tmp_path, LRKV_SMALL)
+    out = tmp_path / "out"
+    assert run_cli([config if a == "CONFIG" else a for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --set cannot change the mechanism; "
+                                       "use --mechanism or --config-json\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, mechanism", [([], "lrkv"), (["--mechanism", "mha"], "mha")])
 def test_preset_and_mechanism_still_pick_the_config(tmp_path, flags, mechanism):
     out = str(tmp_path / "verify.csv")

@@ -76,10 +76,15 @@ def test_mla_latent_bounds():
         AttentionConfig(mechanism=Mechanism.MLA, d=64, H=4, d_h=16, d_c=65)
 
 
-def test_irrelevant_fields_are_not_validated():
-    # an MHA config never reads r/G/d_c, so junk values there are legal
-    c = AttentionConfig(mechanism=Mechanism.MHA, d=64, H=4, d_h=16, r=-7, G=3)
-    assert c.r == -7
+def test_irrelevant_fields_are_validated():
+    # an MHA config never reads r, d_c or G, yet junk there is still rejected
+    mha = dict(mechanism=Mechanism.MHA, d=64, H=4, d_h=16)
+    with pytest.raises(ConfigurationError, match=r"r must be in \[0, 64\], got -7"):
+        AttentionConfig(**mha, r=-7)
+    with pytest.raises(ConfigurationError, match="H mod G = 0: H=4, G=3"):
+        AttentionConfig(**mha, G=3)
+    with pytest.raises(ConfigurationError, match=r"d_c must be in \[1, 64\], got 0"):
+        AttentionConfig(**mha, d_c=0)
 
 
 def test_softmax_scale_default_and_override():
@@ -116,13 +121,10 @@ def configs(draw):
     kwargs = dict(mechanism=mechanism, d=H * d_h, H=H, d_h=d_h,
                   n_layers=draw(st.integers(1, 4)),
                   qk_norm=draw(st.booleans()))
-    if mechanism is Mechanism.LRKV:
-        kwargs["r"] = draw(st.integers(0, d_h))
-    elif mechanism is Mechanism.GQA:
-        divisors = [g for g in range(1, H + 1) if H % g == 0]
-        kwargs["G"] = draw(st.sampled_from(divisors))
-    elif mechanism is Mechanism.MLA:
-        kwargs["d_c"] = draw(st.integers(1, H * d_h))
+    # every field is checked whatever the mechanism, so every one is drawn
+    kwargs["r"] = draw(st.integers(0, H * d_h))
+    kwargs["G"] = draw(st.sampled_from([g for g in range(1, H + 1) if H % g == 0]))
+    kwargs["d_c"] = draw(st.integers(1, H * d_h))
     return AttentionConfig(**kwargs)
 
 

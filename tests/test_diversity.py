@@ -5,7 +5,6 @@ import pytest
 
 from attnlab import (
     AttentionConfig,
-    DegenerateHeadError,
     Mechanism,
     NumericalError,
     ParameterError,
@@ -13,6 +12,7 @@ from attnlab import (
     UnsupportedMechanismError,
     bilinear_forms,
     center_gram,
+    cosine,
     diversity_report,
     factorization_gap,
     gram,
@@ -21,7 +21,6 @@ from attnlab import (
     spectrum,
     svd_truncate,
 )
-from attnlab.diversity import BilinearFormSet, GramMatrix
 from attnlab.presets import config_for
 from attnlab.weights import effective_weights, gqa_group
 
@@ -36,7 +35,7 @@ def random_forms(seed, H=4, d=64, d_h=16):
     gen = np.random.default_rng(seed)
     wq = np.stack([gen.standard_normal((d, d_h)) for _ in range(H)])
     wk = np.stack([gen.standard_normal((d, d_h)) for _ in range(H)])
-    return BilinearFormSet(wq=wq, wk=wk)
+    return wq, wk
 
 
 def random_orthogonal(gen, n):
@@ -51,41 +50,39 @@ def test_trace_identity_matches_direct_inner_products():
     """The d_h-sided trace shortcut equals the materialized d x d inner
     products, including at the largest width the oracle covers."""
     for d, d_h in ((64, 16), (512, 64)):
-        forms = random_forms(0, H=3, d=d, d_h=d_h)
-        g = gram(forms, normalize=False).G
+        wq, wk = random_forms(0, H=3, d=d, d_h=d_h)
+        g = gram(wq, wk)
         for i in range(3):
             for j in range(3):
-                A_i = forms.wq[i] @ forms.wk[i].T
-                A_j = forms.wq[j] @ forms.wk[j].T
+                A_i = wq[i] @ wk[i].T
+                A_j = wq[j] @ wk[j].T
                 direct = float(np.sum(A_i * A_j))
                 denom = max(1.0, abs(direct))
                 assert abs(g[i, j] - direct) / denom < 1e-8
 
 
 def test_gram_is_symmetric_with_unit_diagonal_when_normalized():
-    g = gram(random_forms(1), normalize=True)
-    assert g.normalized and not g.centered
-    assert np.array_equal(g.G, g.G.T)
-    assert np.allclose(np.diag(g.G), 1.0, atol=1e-12)
-    assert np.abs(g.G).max() <= 1.0 + 1e-12
+    g, zero_norm_heads = cosine(gram(*random_forms(1)))
+    assert zero_norm_heads == ()
+    assert np.array_equal(g, g.T)
+    assert np.allclose(np.diag(g), 1.0, atol=1e-12)
+    assert np.abs(g).max() <= 1.0 + 1e-12
 
 
 def test_gauge_invariance_of_the_full_report():
     """Rotating (Wq_h, Wk_h) by one orthogonal matrix per head must not
     move the similarity matrix or either spectrum."""
     gen = np.random.default_rng(2)
-    forms = random_forms(3)
-    base_sim = gram(forms, normalize=True)
+    wq, wk = random_forms(3)
+    H = len(wq)
+    base_sim, _ = cosine(gram(wq, wk))
     base_unc = spectrum(base_sim)
     base_cen = spectrum(center_gram(base_sim))
     for _ in range(20):
-        Rs = [random_orthogonal(gen, forms.wq.shape[2]) for _ in range(forms.H)]
-        rotated = BilinearFormSet(
-            wq=np.stack([forms.wq[h] @ Rs[h] for h in range(forms.H)]),
-            wk=np.stack([forms.wk[h] @ Rs[h] for h in range(forms.H)]),
-        )
-        sim = gram(rotated, normalize=True)
-        assert np.abs(sim.G - base_sim.G).max() < 1e-9
+        Rs = [random_orthogonal(gen, wq.shape[2]) for _ in range(H)]
+        sim, _ = cosine(gram(np.stack([wq[h] @ Rs[h] for h in range(H)]),
+                             np.stack([wk[h] @ Rs[h] for h in range(H)])))
+        assert np.abs(sim - base_sim).max() < 1e-9
         unc = spectrum(sim)
         cen = spectrum(center_gram(sim))
         assert abs(unc.effective_rank_abs - base_unc.effective_rank_abs) < 1e-9
@@ -93,14 +90,14 @@ def test_gauge_invariance_of_the_full_report():
 
 
 def test_gram_names_degenerate_head():
-    forms = random_forms(4)
-    dead = dataclasses.replace(forms, wq=np.stack([forms.wq[0], np.zeros_like(forms.wq[1]),
-                                                   forms.wq[2], forms.wq[3]]))
-    with pytest.raises(DegenerateHeadError, match="head 1"):
-        gram(dead, normalize=True)
-    # unnormalized Gram tolerates the zero form
-    g = gram(dead, normalize=False)
-    assert g.G[1, 1] == 0.0
+    wq, wk = random_forms(4)
+    wq[1] = 0.0
+    g = gram(wq, wk)
+    assert g[1, 1] == 0.0
+    # the cosine reports the zero-norm head and leaves its row at zero
+    sim, zero_norm_heads = cosine(g)
+    assert zero_norm_heads == (1,)
+    assert not sim[1].any() and not sim[:, 1].any()
 
 
 def test_bilinear_forms_rejects_nonfinite():
@@ -117,22 +114,19 @@ def test_bilinear_forms_rejects_nonfinite():
 
 
 def test_centering_is_idempotent_and_zero_sum():
-    g = gram(random_forms(5), normalize=True)
+    g, _ = cosine(gram(*random_forms(5)))
     c1 = center_gram(g)
     c2 = center_gram(c1)
-    assert c1.centered
-    assert np.abs(c1.G.sum(axis=0)).max() < 1e-12
-    assert np.abs(c1.G.sum(axis=1)).max() < 1e-12
-    assert np.abs(c2.G - c1.G).max() < 1e-12
+    assert np.abs(c1.sum(axis=0)).max() < 1e-12
+    assert np.abs(c1.sum(axis=1)).max() < 1e-12
+    assert np.abs(c2 - c1).max() < 1e-12
 
 
 def test_centering_kills_a_common_component():
     # identical heads: everything is mean, nothing is variance
-    base = random_forms(6, H=1)
-    forms = BilinearFormSet(wq=np.repeat(base.wq, 4, axis=0),
-                            wk=np.repeat(base.wk, 4, axis=0))
-    sim = gram(forms, normalize=True)
-    assert np.allclose(sim.G, 1.0, atol=1e-12)
+    wq, wk = random_forms(6, H=1)
+    sim, _ = cosine(gram(np.repeat(wq, 4, axis=0), np.repeat(wk, 4, axis=0)))
+    assert np.allclose(sim, 1.0, atol=1e-12)
     centered = spectrum(center_gram(sim))
     assert centered.degenerate
     assert centered.effective_rank_abs == 0.0
@@ -143,8 +137,7 @@ def test_centering_kills_a_common_component():
 
 
 def diag_gram(values):
-    return GramMatrix(G=np.diag(np.asarray(values, dtype=np.float64)),
-                      normalized=True, centered=False)
+    return np.diag(np.asarray(values, dtype=np.float64))
 
 
 def test_effective_rank_uniform_spectrum():
@@ -358,11 +351,11 @@ def test_factorization_gap_validates_reference():
 def test_bilinear_forms_stack_each_heads_factors(mechanism, kw, per_head_kv):
     config = cfg(mechanism, **kw)
     w = init_weights(config, RngSpec(seed=3))
-    forms = bilinear_forms(w, config)
-    assert forms.H == config.H and forms.wq.tobytes() == w.wq.tobytes()
-    assert forms.wk.shape == (config.H, config.d, config.d_h)
+    wq, wk = bilinear_forms(w, config)
+    assert len(wq) == config.H and wq.tobytes() == w.wq.tobytes()
+    assert wk.shape == (config.H, config.d, config.d_h)
     for h in range(config.H):
-        assert forms.wk[h].tobytes() == per_head_kv(w, config, h)[0].tobytes(), h
+        assert wk[h].tobytes() == per_head_kv(w, config, h)[0].tobytes(), h
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
@@ -392,7 +385,7 @@ def test_non_finite_input_is_a_numerical_error(n, bad):
     G = np.eye(n)
     G[0, n - 1] = G[n - 1, 0] = bad
     with pytest.raises(NumericalError, match="non-finite"):
-        spectrum(GramMatrix(G=G, normalized=True, centered=False))
+        spectrum(G)
     W = np.random.default_rng(n).standard_normal((n + 3, n))
     W[1, n - 1] = bad
     with pytest.raises(NumericalError, match="non-finite"):
@@ -460,9 +453,9 @@ def test_bilinear_forms_builds_only_the_k_stack(traced_peak):
     screen; V is never expanded."""
     config = cfg(d=256, H=4, d_h=64, r=16)
     w = init_weights(config, RngSpec(seed=20))
-    forms, peak = traced_peak(bilinear_forms, w, config)
+    (_, wk), peak = traced_peak(bilinear_forms, w, config)
     stack = config.H * config.d * config.d_h * 8
-    assert forms.wk.nbytes == stack
+    assert wk.nbytes == stack
     assert peak <= 1.5 * stack, peak / stack
 
 
@@ -491,14 +484,14 @@ def test_gram_equals_the_stacked_formula(case, dtype):
     config = cfg(mechanism, **kw)
     w = init_weights(config, RngSpec(seed=31)).astype(dtype)
     shared = None if w.wk_shared is None else w.wk_shared.copy()
-    forms = bilinear_forms(w, config)
+    wq, wk = bilinear_forms(w, config)
     H = config.H
     want = np.empty((H, H))
     for i in range(H):
-        P = forms.wk[i].T @ forms.wk[i:]
-        Q = forms.wq[i:].mT @ forms.wq[i]
+        P = wk[i].T @ wk[i:]
+        Q = wq[i:].mT @ wq[i]
         want[i, i:] = want[i:, i] = np.sum(P * Q.mT, axis=(1, 2))
-    assert gram(forms, normalize=False).G.tobytes() == want.tobytes()
+    assert gram(wq, wk).tobytes() == want.tobytes()
     if shared is not None:
         assert w.wk_shared.tobytes() == shared.tobytes()
 

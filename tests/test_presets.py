@@ -8,6 +8,7 @@ from attnlab import (
     config_for,
     get_preset,
 )
+from attnlab.presets import MEASURED_RANK
 
 
 def test_the_five_scale_points_exist():
@@ -28,7 +29,6 @@ def test_preset_table(name, n_layers, H, d, G, d_c, table_rank):
     assert p.d_h == 128
     assert p.d == p.H * p.d_h
     assert p.table_rank == table_rank
-    assert p.measured_rank == 64
     assert p.H % p.G == 0
 
 
@@ -49,7 +49,8 @@ def test_config_for_each_mechanism():
 
 def test_config_for_rank_handling():
     p = get_preset("128M")
-    assert config_for(p, Mechanism.LRKV).r == p.measured_rank
+    assert MEASURED_RANK == 64
+    assert config_for(p, Mechanism.LRKV).r == MEASURED_RANK
     assert config_for(p, Mechanism.LRKV, rank=46).r == 46
     # rank is a low-rank knob; other mechanisms never read r
     assert config_for(p, Mechanism.MHA).r == 0

@@ -159,3 +159,20 @@ def test_bench_pairs_workload_block():
     a, b = block["metrics"]["a_s"], block["metrics"]["b_per_s"]
     assert a["unit"] == "s" and a["bound"] == 0.25 and a["change_runs"] == [1.0, 1.1, 1.2]
     assert a["pairs_won_by_change"] == 3 and b["pairs_won_by_change"] == 2
+
+
+def test_bench_pairs_plan_crosses_directories_with_lead_order(tmp_path):
+    pairs = load_script("bench_pairs")
+    plans = [pairs.pair_plan(i) for i in range(8)]
+    assert [lead for lead, _ in plans] == ["parent", "change"] * 4
+    assert [dirs["parent"] for _, dirs in plans] == ["tree-a", "tree-a", "tree-b", "tree-b"] * 2
+    assert all(dirs["change"] != dirs["parent"] for _, dirs in plans)
+    # each four-pair cycle holds every (lead, parent's directory) combination once
+    assert len({(lead, dirs["parent"]) for lead, dirs in plans[:4]}) == 4
+    assert len(pairs.DIRS[0]) == len(pairs.DIRS[1])
+    for d in pairs.DIRS:
+        (tmp_path / d).mkdir()
+        (tmp_path / d / "name").write_text(d)
+    pairs.swap_trees(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(pairs.DIRS)
+    assert [(tmp_path / d / "name").read_text() for d in pairs.DIRS] == list(reversed(pairs.DIRS))
