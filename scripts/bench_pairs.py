@@ -12,12 +12,13 @@ in tree-a in pairs 4k and 4k+1 and in tree-b in pairs 4k+2 and 4k+3, and
 crossed with that, the parent runs first in even pairs and the change first
 in odd ones (``pair_plan``). For every workload of BENCHMARK.json, pair i
 runs ``bench/run.py --trace 0`` once on each side with seed i, for the
-benchmark's run_seconds; the last pair uses the held-out seed 7919. Every end-to-end metric is summarized per workload: both sides'
-quartiles and medians, the ratio of the medians, the pairs each side won,
-whether the medians differ by more than the parent's interquartile range,
-and whether the metric is unresolved: its parent's interquartile range, as a
-fraction of the parent's median, is wider than the bound (also a fraction of
-that median) and not every change run beats every parent run. ``--claim``
+benchmark's run_seconds; the last pair uses the held-out seed 7919. Every
+end-to-end metric is summarized per workload: both sides' quartiles and
+medians, the ratio of the medians, the pairs each side won, whether the
+medians differ by more than the parent's interquartile range, and whether
+the metric is unresolved: its parent's interquartile range, as a fraction of
+the parent's median, is wider than the bound (also a fraction of that
+median) and not every change run beats every parent run. ``--claim``
 states the gain the change claims beforehand; it is judged on the design
 seeds alone, and the held-out pair is reported beside it.
 ``--trace-workload`` adds one ``--trace 1`` run per side, with seed 1031,
