@@ -145,6 +145,34 @@ def summarize_workload(spec: dict, runs: dict[str, list[dict]], seeds: list[int]
     }
 
 
+def check_options(spec: dict, claim: str | None,
+                  trace_workload: str | None) -> tuple[str, str, float] | None:
+    """Check --claim and --trace-workload against the change's BENCHMARK.json
+    before any pair runs. Returns the claim as (workload, metric, max_ratio),
+    or None without one; a bad value raises ValueError with a one-line message."""
+    workloads = [w["name"] for w in spec["workloads"]]
+    if trace_workload is not None and trace_workload not in workloads:
+        raise ValueError(f"--trace-workload {trace_workload!r} is not one of {workloads}")
+    if claim is None:
+        return None
+    fields = claim.split(":")
+    if len(fields) != 3:
+        raise ValueError(f"--claim must be WORKLOAD:METRIC:MAX_RATIO, got {claim!r}")
+    workload, metric, text = fields
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    if workload not in workloads:
+        raise ValueError(f"--claim workload {workload!r} is not one of {workloads}")
+    if metric not in metrics:
+        raise ValueError(f"--claim metric {metric!r} is not one of {metrics}")
+    try:
+        max_ratio = float(text)
+    except ValueError:
+        max_ratio = float("nan")
+    if not (0 < max_ratio < float("inf")):
+        raise ValueError(f"--claim MAX_RATIO must be a positive number, got {text!r}")
+    return workload, metric, max_ratio
+
+
 def export(rev: str, dest: Path) -> str:
     """Write revision rev of this repository into dest (which must not exist
     yet); return its full hash."""
@@ -195,6 +223,11 @@ def main(argv=None) -> int:
     revisions = {side: export(rev, args.scratch / home[side])
                  for side, rev in zip(SIDES, (args.parent, args.change))}
     spec = json.loads((args.scratch / home["change"] / "BENCHMARK.json").read_text())
+    try:
+        claim = check_options(spec, args.claim, args.trace_workload)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     seeds = args.seeds + [HELD_OUT_SEED]
@@ -235,17 +268,17 @@ def main(argv=None) -> int:
             "held_out_seed": HELD_OUT_SEED,
         },
     }
-    if args.claim:
-        workload, metric, max_ratio = args.claim.split(":")
+    if claim:
+        workload, metric, max_ratio = claim
         m = blocks[workload]["metrics"][metric]
         n = len(args.seeds)
         out["claim"] = {
             "metric": metric, "workload": workload,
             "rule": f"over the {n} design seeds the change wins >= 9/10 of the pairs, its "
-                    f"median is within {float(max_ratio):g}x the parent's, and |median "
+                    f"median is within {max_ratio:g}x the parent's, and |median "
                     "difference| > parent IQR; the held-out seed is reported beside it",
             "result": judge_claim(m["parent_runs"][:n], m["change_runs"][:n],
-                                  m["better"], float(max_ratio)),
+                                  m["better"], max_ratio),
             f"held_out_seed_{HELD_OUT_SEED}": {side: m[f"{side}_runs"][n] for side in SIDES},
         }
     out["workloads"] = blocks

@@ -319,7 +319,7 @@ def decode_factored(
     """Append x, then attend through the factors — no (t, d_h) per head.
 
     Low-rank mechanism: scores are the shared-stream dot product plus a
-    rank-r correction routed through the cached latents,
+    rank-r correction routed through the cached latents (empty at r = 0),
 
         logits_h = scale * (q_h K_shared^T + (q_h B_h^K) Rk_h^T)
         out_h    = a_h V_shared + (a_h Rv_h) B_h^V^T
@@ -354,21 +354,14 @@ def decode_factored(
             return _finalize(logits, out)
 
         base = _note("factored.shared_scores", Q @ cache.streams["wk_shared"][:t].T)
-        if config.r == 0:
-            logits = _note("decode.scores", _scaled(base, config, cache))
-        else:
-            qb = _note("factored.k_latent_query", _rowwise(Q, w.bk))
-            corr = _note("factored.score_correction",
-                         (cache.streams["uk"][:, :t] @ qb[:, :, None])[:, :, 0])
-            logits = _note("decode.scores", _scaled(base + corr, config, cache))
+        qb = _note("factored.k_latent_query", _rowwise(Q, w.bk))
+        corr = _note("factored.score_correction",
+                     (cache.streams["uk"][:, :t] @ qb[:, :, None])[:, :, 0])
+        logits = _note("decode.scores", _scaled(base + corr, config, cache))
         A = _note("decode.weights", softmax_row(logits))
         base_out = _note("factored.shared_out", A @ cache.streams["wv_shared"][:t])
-        if config.r == 0:
-            out = base_out
-        else:
-            av = _note("factored.v_latent_mix", _rowwise(A, cache.streams["uv"][:, :t]))
-            out = _note("decode.out",
-                        base_out + _rowwise(av, w.bv.transpose(0, 2, 1)))
+        av = _note("factored.v_latent_mix", _rowwise(A, cache.streams["uv"][:, :t]))
+        out = _note("decode.out", base_out + _rowwise(av, w.bv.transpose(0, 2, 1)))
         return _finalize(logits, out)
     except BaseException:
         _truncate(cache, t - 1)

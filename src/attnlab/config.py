@@ -102,7 +102,7 @@ class AttentionConfig:
         object.__setattr__(self, "d_c", require_int("d_c", self.d_c, 1, self.d))
         object.__setattr__(self, "G", require_int("G", self.G, 1))
         if self.H % self.G != 0:
-            raise ConfigurationError(f"GQA requires H mod G = 0: H={self.H}, G={self.G}")
+            raise ConfigurationError(f"G must divide H: H={self.H}, G={self.G}")
         if not isinstance(self.qk_norm, bool):
             raise ConfigurationError(f"qk_norm must be a bool, got {self.qk_norm!r}")
         s = self.softmax_scale

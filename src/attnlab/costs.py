@@ -6,6 +6,10 @@ and echoed in CLI output:
     - A reported "MiB" is 2**20 bytes.
     - One multiply-add is 2 FLOPs; softmax costs 5 FLOPs per position
       (max-scan, subtract, exp, sum, divide).
+    - Every product that reads weights or cached state is counted, and the
+      softmax. The logit scale is not, nor an add that joins two partial
+      results (shared plus residual, scores plus their rank-r correction),
+      so rank 0 costs exactly what MQA does.
     - FLOP counts are per decode step, per layer, attention only, with the
       new token's Q/K/V (or latent) projections included. T is the number
       of cached positions the step attends over, the new token included.

@@ -71,21 +71,22 @@ def per_head_projection_grad():
 
 
 def _flops_per_element(tag, config, t, path):
-    """Multiply+add count behind one element of a noted transient."""
+    """Multiply+add count behind one element of a noted transient, in the
+    closed form's convention: the logit scale and the adds that join two
+    partial results (shared plus residual, ``base + corr``) cost nothing."""
     c = config
     mla = c.mechanism is Mechanism.MLA
-    if path == "factored":  # lrkv scores: (base + corr) * scale
-        scores = 2 * c.d_c + 1 if mla else (2 if c.r > 0 else 1)
-        out = 2 * c.d_c if mla else 2 * c.r + 1
+    lift = 2 * (c.d_c if mla else c.r)  # one latent (mla) or residual (lrkv) lift
+    if path == "factored":  # lrkv's scores only join base + corr
+        scores, out = (lift if mla else 0), lift
     else:
-        scores, out = 2 * c.d_h + 1, 2 * t
-    head = 2 * c.d_c if mla else 2 * c.r + 1  # lrkv: residual lift + shared add
+        scores, out = 2 * c.d_h, 2 * t
     if tag.startswith("append."):
         return 2 * c.d  # a row of x @ W
     return {
         "decode.query": 2 * c.d,
-        "explicit.k_head": head,
-        "explicit.v_head": head,
+        "explicit.k_head": lift,
+        "explicit.v_head": lift,
         "decode.scores": scores,
         "decode.weights": 5,
         "decode.out": out,

@@ -17,6 +17,7 @@ from attnlab import (
     RngSpec,
     UnsupportedMechanismError,
     UnsupportedModeError,
+    WeightSet,
     append_token,
     decode_explicit,
     decode_factored,
@@ -474,6 +475,33 @@ def test_factored_non_t_traffic_is_length_independent(log):
         assert any(s[-1] == cache.length for tag, s in events)
         totals.append(sum(math.prod(s) for tag, s in events if s[-1] != cache.length))
     assert totals[0] == totals[1] > 0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("H,d_h", [(6, 128), (5, 16)], ids=["128M", "16-wide"])
+def test_rank_zero_decodes_as_mqa_bit_for_bit(H, d_h, dtype):
+    """At r = 0 both lrkv decode paths are MQA's explicit step: the factored
+    step runs its rank-r lines on (H, 0) factors, whose products are zeros
+    that leave the shared-stream scores and outputs bit for bit."""
+    d = H * d_h
+    cfg0 = AttentionConfig(mechanism=Mechanism.LRKV, d=d, H=H, d_h=d_h, r=0)
+    w0 = init_weights(cfg0, RngSpec(seed=3)).astype(dtype)
+    mqa_cfg = AttentionConfig(mechanism=Mechanism.MQA, d=d, H=H, d_h=d_h)
+    mqa_w = WeightSet(wq=w0.wq, wk_shared=w0.wk_shared, wv_shared=w0.wv_shared,
+                      config=mqa_cfg)
+    X = np.random.default_rng(10).standard_normal((24, d)).astype(dtype)
+    caches = [prefill(weights, config, X[:12], capacity=24)
+              for weights, config in ((w0, cfg0), (w0, cfg0), (mqa_w, mqa_cfg))]
+    for x in X[12:]:
+        steps = (decode_factored(caches[0], w0, cfg0, x),
+                 decode_explicit(caches[1], w0, cfg0, x),
+                 decode_explicit(caches[2], mqa_w, mqa_cfg, x))
+        want = steps[-1]
+        assert want.logits.dtype == want.out.dtype == dtype
+        for got in steps[:2]:
+            assert got.logits.dtype == got.out.dtype == dtype
+            assert np.array_equal(got.logits, want.logits)
+            assert np.array_equal(got.out, want.out)
 
 
 def test_set_alloc_hook_returns_previous():

@@ -222,6 +222,13 @@ trial,mechanism,T,dtype,max_logit_diff,max_out_diff,explicit_elems_touched,facto
 0,mha,8,float64,,,1168,
 1,mha,8,float64,,,1168,
 """),
+    # Rank 0 through both paths: MQA's step exactly, so the diffs are 0 on
+    # any host; the factored path notes its empty correction and lift too.
+    "verify-rank0": (["verify", "--config-json", "{lrkv0}", "--tokens", "8", "--trials", "1"],
+                     """\
+trial,mechanism,T,dtype,max_logit_diff,max_out_diff,explicit_elems_touched,factored_elems_touched
+0,lrkv,8,float64,0.000e+00,0.000e+00,912,1312
+"""),
     "ablate": (["ablate", "--preset", "128M", "--ranks", "0,64", "--tokens", "128"], """\
 r,cache_ratio,cache_pct,cache_bytes,kv_param_count,decode_flops,flops_overhead_vs_mha
 0,0.166667,16.667,786432,196608,1969920,0.000000
@@ -233,8 +240,12 @@ r,cache_ratio,cache_pct,cache_bytes,kv_param_count,decode_flops,flops_overhead_v
 @pytest.mark.parametrize("command", CSV_PINS)
 def test_csv_bytes_are_pinned(tmp_path, capsys, command):
     argv, text = CSV_PINS[command]
-    mha = write_config(tmp_path, AttentionConfig(mechanism=Mechanism.MHA, d=32, H=2, d_h=16))
-    assert run_cli([a.format(mha=mha) for a in argv] + ["--out", "-"]) == 0
+    shape = dict(d=32, H=2, d_h=16)
+    paths = {"mha": write_config(tmp_path, AttentionConfig(mechanism=Mechanism.MHA, **shape),
+                                 "mha.json"),
+             "lrkv0": write_config(tmp_path, AttentionConfig(mechanism=Mechanism.LRKV, **shape,
+                                                             r=0), "lrkv0.json")}
+    assert run_cli([a.format(**paths) for a in argv] + ["--out", "-"]) == 0
     assert capsys.readouterr().out == text.replace("\n", "\r\n")
 
 
@@ -273,6 +284,47 @@ def test_svd_compare_workflow(tmp_path, capsys):
     assert len(lines) == 1 + 8
     for line in lines[1:]:
         assert float(line.split(",")[-1]) >= 1.0
+
+
+def test_readme_numbers_are_pinned(tmp_path, capsys):
+    """The README's ``flops`` rows and its head-diversity walkthrough, run in
+    process: every figure quoted there is what the commands give."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    flops = ["flops", "--preset", "128M", "--tokens", "4096", "--out", "-"]
+    assert run_cli(flops) == 0
+    got = {",".join(line.split(",")[:5]) for line in capsys.readouterr().out.splitlines()}
+    block = readme.split(f"attnlab {' '.join(flops)}\n")[1].split("```csv\n")[1]
+    shown = [row.removesuffix(",...") for row in block.split("```")[0].splitlines()[1:]]
+    assert shown == ["mla,reconstruct,4096,1624694784,128.000000",
+                     "mla,factored,4096,14475264,0.031250",
+                     "lrkv,factored,4096,21946368,0.515625"]
+    assert set(shown) <= got
+
+    lrkv, mha, prefix = (str(tmp_path / name) for name in ("lrkv.atn", "mha.atn", "div"))
+    shape = ["--preset", "128M", "--set", "d=384", "--set", "d_h=64", "--rank", "16"]
+    assert run_cli(["gen-weights", *shape, "--seed", "0", "--out", lrkv]) == 0
+    assert run_cli(["gen-weights", *shape, "--mechanism", "mha", "--seed", "1",
+                    "--out", mha]) == 0
+    assert run_cli(["diversity", "--weights", lrkv, "--out-prefix", prefix]) == 0
+    ranks = [(r["effective_rank_abs"], r["n_components_for_90pct"])
+             for r in read_csv(prefix + "_effective_rank.csv")]
+    assert ranks == [("5.999552", "6"), ("4.999624", "5")]
+    out = str(tmp_path / "svd.csv")
+    assert run_cli(["svd-compare", "--weights", lrkv, "--reference", mha, "--rank", "16",
+                    "--out", out]) == 0
+    head0 = read_csv(out)[0]
+    assert (head0["head"], head0["path"], head0["e_learned"], head0["e_opt"]) == \
+        ("0", "k", "1.607361436e+01", "1.248010950e+01")
+    ratio = f"{float(head0['ratio']):.3f}"
+    w = read_archive(lrkv)
+    mag = attnlab.magnitude_report(w, w.config)
+    shared, residuals = f"{mag.shared_k:.2f}", {f"{x:.3f}" for x in mag.residual_k}
+    assert (ratio, shared, residuals) == ("1.288", "11.41", {"1.141"})
+    assert np.abs(mag.cosine_k).max() <= 0.009
+    for figure in ("5.999552", "(6 components", "4.999624", "(5 components",
+                   "1.607361436e+01", "1.248010950e+01", f"ratio of {ratio}",
+                   f"norm is {shared}", f"residual is\n{min(residuals)}", "±0.009"):
+        assert figure in readme, figure
 
 
 def test_svd_compare_rejects_shared_reference(tmp_path):

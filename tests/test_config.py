@@ -81,7 +81,7 @@ def test_irrelevant_fields_are_validated():
     mha = dict(mechanism=Mechanism.MHA, d=64, H=4, d_h=16)
     with pytest.raises(ConfigurationError, match=r"r must be in \[0, 64\], got -7"):
         AttentionConfig(**mha, r=-7)
-    with pytest.raises(ConfigurationError, match="H mod G = 0: H=4, G=3"):
+    with pytest.raises(ConfigurationError, match="G must divide H: H=4, G=3"):
         AttentionConfig(**mha, G=3)
     with pytest.raises(ConfigurationError, match=r"d_c must be in \[1, 64\], got 0"):
         AttentionConfig(**mha, d_c=0)

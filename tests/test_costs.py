@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from attnlab import (
     MIB,
@@ -220,7 +220,35 @@ def test_instrumented_count_agrees_with_closed_form(mechanism, kw, path, mla_pat
     T = 64
     measured = instrumented_step_flops(config, T, path)
     closed, _ = decode_flops(q(config, T=T), mla_path=mla_path)
-    assert abs(measured - closed) / closed < 0.02, (measured, closed)
+    assert measured == closed
+
+
+@st.composite
+def priced_steps(draw):
+    """A config in the closed form's domain (qk_norm off) and a decode path
+    it prices: lrkv's factored path, either mla path, grouped K/V's explicit
+    one. Ranks run past d_h up to d, and latents up to d."""
+    mechanism = draw(st.sampled_from(list(Mechanism)))
+    H, d_h = draw(st.integers(1, 6)), draw(st.integers(1, 16))
+    kw, path = {}, "explicit"
+    if mechanism is Mechanism.LRKV:
+        kw["r"], path = draw(st.integers(0, H * d_h)), "factored"
+    elif mechanism is Mechanism.GQA:
+        kw["G"] = draw(st.sampled_from([g for g in range(1, H + 1) if H % g == 0]))
+    elif mechanism is Mechanism.MLA:
+        kw["d_c"] = draw(st.integers(1, H * d_h))
+        path = draw(st.sampled_from(["explicit", "factored"]))
+    config = AttentionConfig(mechanism=mechanism, d=H * d_h, H=H, d_h=d_h, **kw)
+    return config, path
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(step=priced_steps(), T=st.integers(1, 48))
+def test_instrumented_count_equals_closed_form_on_any_config(step, T, instrumented_step_flops):
+    config, path = step
+    mla_path = "factored" if path == "factored" else "reconstruct"
+    closed, _ = decode_flops(q(config, T=T), mla_path=mla_path)
+    assert instrumented_step_flops(config, T, path) == closed
 
 
 # ---------------------------------------------------------------- tables

@@ -1,8 +1,11 @@
 import importlib
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -176,3 +179,52 @@ def test_bench_pairs_plan_crosses_directories_with_lead_order(tmp_path):
     pairs.swap_trees(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(pairs.DIRS)
     assert [(tmp_path / d / "name").read_text() for d in pairs.DIRS] == list(reversed(pairs.DIRS))
+
+
+BENCH_SPEC = {"workloads": [{"name": "long-prompt"}, {"name": "lab-instruments"}],
+              "end_to_end": [{"name": "verify_s", "unit": "s", "better": "lower"}]}
+
+
+def test_bench_pairs_checks_claim_and_trace_workload():
+    pairs = load_script("bench_pairs")
+    assert pairs.check_options(BENCH_SPEC, None, None) is None
+    assert pairs.check_options(BENCH_SPEC, "lab-instruments:verify_s:0.8", "long-prompt") == \
+        ("lab-instruments", "verify_s", 0.8)
+    for claim, trace, message in (
+        (None, "long-promt", "--trace-workload 'long-promt'"),
+        ("lab-instruments:verify_s", None, "WORKLOAD:METRIC:MAX_RATIO"),
+        ("lab-instruments:verify_s:0.8:1", None, "WORKLOAD:METRIC:MAX_RATIO"),
+        ("lab:verify_s:0.8", None, "workload 'lab'"),
+        ("lab-instruments:verify:0.8", None, "metric 'verify'"),
+        ("lab-instruments:verify_s:x", None, "MAX_RATIO"),
+        ("lab-instruments:verify_s:0", None, "MAX_RATIO"),
+        ("lab-instruments:verify_s:-0.5", None, "MAX_RATIO"),
+        ("lab-instruments:verify_s:nan", None, "MAX_RATIO"),
+        ("lab-instruments:verify_s:inf", None, "MAX_RATIO"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pairs.check_options(BENCH_SPEC, claim, trace)
+
+
+@pytest.mark.parametrize("option", [["--claim", "lab-instruments:verify_s:fast"],
+                                    ["--trace-workload", "nope"]])
+def test_bench_pairs_rejects_a_bad_option_before_the_first_pair(monkeypatch, tmp_path,
+                                                                 capsys, option):
+    pairs = load_script("bench_pairs")
+
+    def export(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps(BENCH_SPEC))
+        return rev
+
+    def run_bench(*args):
+        raise AssertionError("a pair ran")
+
+    monkeypatch.setattr(pairs, "export", export)
+    monkeypatch.setattr(pairs, "run_bench", run_bench)
+    out = tmp_path / "BENCH.json"
+    assert pairs.main(["a", "b", "--scratch", str(tmp_path / "s"), "--out", str(out),
+                       *option]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
