@@ -35,11 +35,16 @@ def softmax_row(scores: np.ndarray) -> np.ndarray:
     A 1-D vector is one row; an (H, t) array is H rows, e.g. one per head of
     a decode step, and each row comes out bit-identical to its 1-D softmax.
     Max-subtracted; the normalizer is accumulated in float64 regardless of
-    the working dtype, then the result is cast back.
+    the working dtype, then the result is cast back. The ufunc reductions
+    skip ``np.max``'s and ``ndarray.sum``'s Python wrappers and compute the
+    same bits; the exponentials and, in float64, the quotient are written
+    into the one fresh array.
     """
-    m = np.max(scores, axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
+    e = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    denom = np.add.reduce(e, axis=-1, keepdims=True, dtype=np.float64)
+    if e.dtype == denom.dtype:
+        return np.divide(e, denom, out=e)
     return (e / denom).astype(scores.dtype, copy=False)
 
 

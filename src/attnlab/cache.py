@@ -12,7 +12,16 @@ Every mechanism caches the smallest sufficient statistic of the prefix:
 A stream is named by the weight that projects a token into it (``STREAMS``).
 ``DecodeCache.streams`` maps each of the config's stream weights to its
 buffer, in ``tensor_shapes`` order; a buffer has that weight's shape with the
-model-width (row) axis replaced by the capacity.
+model-width (row) axis replaced by the rows it holds.
+
+A cache of ``capacity`` tokens holding n of them has buffers of
+rows(n) = min(capacity, 2**ceil(log2 n)) rows, and none at n = 0. An append
+that outgrows them allocates the next size, copies the held rows over and
+swaps the new buffers in once its own rows are written and screened, so a
+short prompt in a roomy cache zeroes about the rows it writes, not the
+whole capacity, and growth zeroes at most twice the rows written. Every
+buffer starts on a ``weights.ALIGNMENT`` boundary and has a floating-point
+dtype.
 
 Two decode paths are provided. ``decode_explicit`` reconstructs each head's
 full K/V over the cached prefix and runs ordinary attention — the reference
@@ -30,12 +39,13 @@ each cached stream (a K/V group, the shared K/V, Z, the stacked latents) is
 read by one matmul per step for all the heads that use it, not once per
 head. The heads' softmaxes are one ``softmax_row`` over (H, t) logits.
 
-Rows past ``length`` are zero, as in a fresh cache. A decode step that
-raises (say, on logits that overflow) sets the cache back: ``length``
-returns and the rows it wrote are zeroed, so the cache is bit for bit what
-it was. A token with a NaN or infinite entry is rejected before any row is
-written; a finite token whose projected rows overflow the cache dtype is
-rejected the same way a failed step is.
+Held rows past ``length`` are zero, as in a fresh cache. A decode step
+that raises (say, on logits that overflow) sets the cache back: ``length``
+returns, the rows it wrote are zeroed, and buffers its append grew are
+swapped back for the ones it outgrew, so the cache is bit for bit what it
+was, buffer shapes included. A token with a NaN or infinite entry is
+rejected before any row is written; a finite token whose projected rows
+overflow the cache dtype is rejected the same way a failed step is.
 
 Prefill and append write rows through one projection helper: ``append_token``
 passes its token as a one-row block, ``prefill`` the whole (T, d) prompt. Each
@@ -72,11 +82,18 @@ from .attention import rmsnorm, softmax_row
 from .config import AttentionConfig, Mechanism, RngSpec, require_int, require_mechanism
 from .errors import (
     CapacityError,
+    ConfigurationError,
     DimensionError,
     NumericalError,
     UnsupportedModeError,
 )
-from .weights import WeightSet, effective_weights, init_weights, tensor_shapes
+from .weights import (
+    WeightSet,
+    aligned_empty,
+    effective_weights,
+    init_weights,
+    tensor_shapes,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -112,27 +129,25 @@ def _note(tag: str, a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DecodeCache:
-    """Preallocated per-layer decode cache for one mechanism.
+    """Per-layer decode cache for one mechanism, grown as tokens arrive.
 
     ``streams`` maps each stream weight of the mechanism to its buffer,
-    allocated once with ``capacity`` rows (its row count) and filled up to
-    ``length``. Single writer; reads between appends are safe.
+    filled up to ``length``. The cache takes up to ``capacity`` tokens; its
+    buffers hold only rows(length) rows of them (see the module docstring).
+    Single writer; reads between appends are safe.
     """
 
-    streams: dict[str, np.ndarray]  # e.g. "wk": (H, cap, d_h), "wdown": (cap, d_c)
+    streams: dict[str, np.ndarray]  # e.g. "wk": (H, rows, d_h), "wdown": (rows, d_c)
+    capacity: int
     length: int = 0
 
-    @property
-    def capacity(self) -> int:
-        """Rows each buffer holds: the tokens the cache has room for."""
-        return next(iter(self.streams.values())).shape[-2]
-
     def payload_elements(self) -> int:
-        """Elements held by the cache buffers (at full capacity)."""
-        return sum(buf.size for buf in self.streams.values())
+        """Elements the cache buffers hold at full capacity."""
+        return sum(self.capacity * math.prod(buf.shape[:-2]) * buf.shape[-1]
+                   for buf in self.streams.values())
 
     def payload_nbytes(self) -> int:
-        """Total bytes held by the cache buffers (at full capacity)."""
+        """Total bytes the cache buffers hold at full capacity."""
         return self.payload_elements() * self.dtype.itemsize
 
     @property
@@ -157,13 +172,21 @@ class DecodeStepOutput:
         return self.out.reshape(-1)
 
 
+def _zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An all-zero, ALIGNMENT-aligned cache buffer: the one cache allocator."""
+    dtype = np.dtype(dtype)
+    if dtype.kind != "f":
+        raise ConfigurationError(f"cache dtype must be floating point, got {dtype}")
+    return aligned_empty(shape, dtype, alloc=np.zeros)
+
+
 def empty_cache(config: AttentionConfig, capacity: int, dtype=np.float64) -> DecodeCache:
-    """Allocate an all-zero cache with room for ``capacity`` tokens."""
+    """An empty cache with room for ``capacity`` tokens; it holds no rows yet."""
     capacity = require_int("capacity", capacity, 0)
     return DecodeCache(streams={
-        name: np.zeros((*heads, capacity, cols), dtype=dtype)
+        name: _zeros((*heads, 0, cols), dtype)
         for name, (*heads, _, cols) in tensor_shapes(config).items() if name in STREAMS
-    })
+    }, capacity=capacity)
 
 
 def _append_rows(
@@ -176,7 +199,9 @@ def _append_rows(
     ``length``, and checked before ``length`` advances: a block with a
     non-finite entry is rejected before anything is written, and a block
     that fails later (rows that overflow the cache dtype) has its rows
-    zeroed again, so either way the cache is left as it was.
+    zeroed again, so either way the cache is left as it was. A block that
+    outgrows the held rows is written into grown buffers, which replace the
+    held ones only once it has passed.
     """
     t, T = cache.length, X.shape[0]
     if t + T > cache.capacity:
@@ -188,31 +213,39 @@ def _append_rows(
     # row sums below screen the same way for rows that overflow.
     if not math.isfinite(np.vdot(X, X)) and not np.isfinite(X).all():
         raise NumericalError("token has non-finite entries")
+    held = streams = cache.streams
+    if t + T > next(iter(held.values())).shape[-2]:
+        n = min(cache.capacity, 1 << (t + T - 1).bit_length())  # rows(t + T)
+        streams = {}
+        for name, buf in held.items():
+            streams[name] = grown = _zeros((*buf.shape[:-2], n, buf.shape[-1]), buf.dtype)
+            grown[..., :t, :] = buf[..., :t, :]
     X = X[:, None, :]  # (T, 1, d): one gemv per row (see the module docstring)
     screen = 0.0
     try:
-        for name, buf in cache.streams.items():
+        for name, buf in streams.items():
             rows = buf[..., t:t + T, None, :]
             np.matmul(X, getattr(w, name)[..., None, :, :], out=rows)
             if _alloc_hook is not None:  # no view on the unhooked hot path
                 _note(f"append.{name}", buf[..., t:t + T, :])
             screen += np.add.reduce(rows, None)
         if not math.isfinite(screen) and not all(
-            np.isfinite(buf[..., t:t + T, :]).all() for buf in cache.streams.values()
+            np.isfinite(buf[..., t:t + T, :]).all() for buf in streams.values()
         ):
             raise NumericalError("token rows overflow the cache dtype")
     except BaseException:
-        _truncate(cache, t)
+        _truncate(cache, held, t)
         raise
-    cache.length = t + T
+    cache.streams, cache.length = streams, t + T
     return cache
 
 
-def _truncate(cache: DecodeCache, length: int) -> None:
-    """Set the cache back to ``length`` rows and zero every row past it."""
-    for buf in cache.streams.values():
+def _truncate(cache: DecodeCache, streams: dict[str, np.ndarray], length: int) -> None:
+    """Set the cache back to the buffers ``streams``, ``length`` rows long,
+    with every held row past ``length`` zeroed."""
+    for buf in streams.values():
         buf[..., length:, :] = 0
-    cache.length = length
+    cache.streams, cache.length = streams, length
 
 
 def append_token(
@@ -242,7 +275,8 @@ def prefill(
     loop, one broadcast matmul per stream (see the module docstring). A
     prompt with any token that ``append_token`` would reject is rejected
     whole. ``capacity`` defaults to exactly len(X); pass more to leave room
-    for decode steps. ``dtype`` defaults to X's dtype.
+    for decode steps. ``dtype`` defaults to X's dtype and must be floating
+    point.
     """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != config.d:
@@ -269,7 +303,8 @@ def _finalize(logits: np.ndarray, out: np.ndarray) -> DecodeStepOutput:
 
 def _scaled(scores: np.ndarray, config: AttentionConfig, cache: DecodeCache) -> np.ndarray:
     """Scaled (H, t) logits in the cache's dtype, which the softmax then keeps."""
-    return (scores * config.softmax_scale).astype(cache.dtype, copy=False)
+    scores *= config.softmax_scale  # a fresh array: scaled in place
+    return scores.astype(cache.dtype, copy=False)
 
 
 def _rowwise(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -289,6 +324,7 @@ def decode_explicit(
     Heads sharing a K/V head are one (H/n, d_h) query block against it;
     ``gqa_group`` gives each K/V head a contiguous block of heads.
     """
+    held = cache.streams
     append_token(cache, w, config, x)
     t = cache.length
     try:
@@ -309,7 +345,7 @@ def decode_explicit(
         out = _note("decode.out", (A.reshape(n, H // n, t) @ V).reshape(H, d_h))
         return _finalize(logits, out)
     except BaseException:
-        _truncate(cache, t - 1)  # a failed step takes its row back (see module docstring)
+        _truncate(cache, held, t - 1)  # a failed step takes its row back (see module docstring)
         raise
 
 
@@ -338,6 +374,7 @@ def decode_factored(
     require_mechanism(config, "decode_factored", *FACTORED)
     if config.qk_norm:
         raise UnsupportedModeError("decode_factored is undefined with qk_norm on")
+    held = cache.streams
     append_token(cache, w, config, x)
     t = cache.length
     try:
@@ -364,7 +401,7 @@ def decode_factored(
         out = _note("decode.out", base_out + _rowwise(av, w.bv.transpose(0, 2, 1)))
         return _finalize(logits, out)
     except BaseException:
-        _truncate(cache, t - 1)
+        _truncate(cache, held, t - 1)
         raise
 
 

@@ -53,11 +53,15 @@ RESIDUAL_INIT_FRACTION = 0.1
 ALIGNMENT = 64
 
 
-def aligned_empty(shape: tuple[int, ...], dtype=DTYPE) -> np.ndarray:
-    """An uninitialized C-contiguous array whose data starts ALIGNMENT-aligned."""
+def aligned_empty(shape: tuple[int, ...], dtype=DTYPE, alloc=np.empty) -> np.ndarray:
+    """An uninitialized C-contiguous array whose data starts ALIGNMENT-aligned.
+
+    ``alloc=np.zeros`` gives an all-zero one instead, zeroed as numpy's
+    zeros are (calloc), with no second pass over the bytes.
+    """
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
-    raw = np.empty(nbytes + ALIGNMENT, dtype=np.uint8)
+    raw = alloc(nbytes + ALIGNMENT, dtype=np.uint8)
     start = -raw.ctypes.data % ALIGNMENT
     return raw[start:start + nbytes].view(dtype).reshape(shape)
 
