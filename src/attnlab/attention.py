@@ -37,8 +37,9 @@ def softmax_row(scores: np.ndarray) -> np.ndarray:
     Max-subtracted; the normalizer is accumulated in float64 regardless of
     the working dtype, then the result is cast back. The ufunc reductions
     skip ``np.max``'s and ``ndarray.sum``'s Python wrappers and compute the
-    same bits; the exponentials and, in float64, the quotient are written
-    into the one fresh array.
+    same bits. The exponentials overwrite the one fresh array, and in
+    float64 so does the quotient (a mixed-dtype divide into a narrower
+    array measured slower than the cast).
     """
     e = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(e, out=e)

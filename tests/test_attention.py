@@ -118,6 +118,18 @@ def test_softmax_row_of_a_stack_is_the_softmax_of_each_row(dtype):
         assert softmax_row(scores[h]).tobytes() == stacked[h].tobytes(), h
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+@pytest.mark.parametrize("shape", [(7,), (6, 129)], ids=["row", "stack"])
+def test_softmax_row_keeps_the_bits_of_the_plain_formula(shape, dtype):
+    """The reference: max, exp of the shifted scores, a float64 sum and a
+    divide, spelled with numpy's wrappers and fresh arrays."""
+    scores = (np.random.default_rng(3).standard_normal(shape) * 6).astype(dtype)
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    want = (e / e.sum(axis=-1, keepdims=True, dtype=np.float64)).astype(dtype)
+    got = softmax_row(scores)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 # Decode shapes ALL_CONFIGS leaves out: GQA with two heads per group, and
 # qk_norm on for every mechanism.
 DECODE_CONFIGS = [

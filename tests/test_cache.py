@@ -50,8 +50,26 @@ class EventLog:
 
 
 def stream_bytes(cache):
-    """Stream weight -> the bytes of its whole buffer (rows past length too)."""
-    return {name: buf.tobytes() for name, buf in cache.streams.items()}
+    """Stream weight -> the shape and bytes of its whole buffer (held rows
+    past length too)."""
+    return {name: (buf.shape, buf.tobytes()) for name, buf in cache.streams.items()}
+
+
+def held_rows(cache):
+    """The row count of every buffer (one number: they all hold the same)."""
+    (rows,) = {buf.shape[-2] for buf in cache.streams.values()}
+    return rows
+
+
+def rows_for(n, capacity):
+    """The rows a cache of ``capacity`` holds for n tokens: the next power of
+    two, at most the capacity, none for no tokens."""
+    return 0 if n == 0 else min(capacity, 2 ** math.ceil(math.log2(n)))
+
+
+def assert_aligned(cache):
+    for name, buf in cache.streams.items():
+        assert buf.ctypes.data % ALIGNMENT == 0, (name, buf.ctypes.data % ALIGNMENT)
 
 
 @pytest.fixture
@@ -330,6 +348,112 @@ def test_failed_step_restores_the_cache_bytes(decode):
             decode(cache, loud, config, X[3])
     assert cache.length == 3
     assert stream_bytes(cache) == before
+
+
+@pytest.mark.parametrize("step", ["append", "explicit", "factored"])
+def test_failed_growing_step_puts_the_old_buffers_back(step):
+    """A step whose append outgrows the held rows and then fails leaves the
+    cache's buffers, their shapes and bytes, and its length as they were:
+    a token whose rows overflow at the boundary, or a decode step whose
+    logits overflow once the grown buffers hold its row."""
+    config = cfg(Mechanism.LRKV, r=5)
+    w = init_weights(config, RngSpec(seed=24))
+    X = np.random.default_rng(25).standard_normal((5, config.d))
+    cache = prefill(w, config, X[:4], capacity=6)
+    assert held_rows(cache) == 4  # full: the next row grows the buffers to 6
+    buffers = dict(cache.streams)
+    before = stream_bytes(cache)
+    loud = dataclasses.replace(w, wq=np.full_like(w.wq, 1e308))  # K/V rows stay finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError):
+            if step == "append":
+                append_token(cache, w, config, np.full(config.d, 1e308))
+            else:
+                decode = decode_explicit if step == "explicit" else decode_factored
+                decode(cache, loud, config, X[4])
+    assert cache.length == 4
+    assert stream_bytes(cache) == before
+    assert all(cache.streams[name] is buf for name, buf in buffers.items())
+    assert_aligned(cache)
+    got = decode_factored(cache, w, config, X[4])  # positive control: now it grows
+    assert held_rows(cache) == 6 and cache.length == 5
+    want = decode_factored(prefill(w, config, X[:4], capacity=5), w, config, X[4])
+    assert np.array_equal(got.logits, want.logits)
+    assert np.array_equal(got.out, want.out)
+
+
+@pytest.mark.parametrize("mechanism,kw", FIVE, ids=FIVE_IDS)
+def test_buffers_start_aligned_after_prefill_growth_and_rollback(mechanism, kw):
+    config = AttentionConfig(mechanism=mechanism, d=96, H=6, d_h=16,
+                             **{k: min(v, 8) for k, v in kw.items()})
+    w = init_weights(config, RngSpec(seed=34))
+    X = np.random.default_rng(35).standard_normal((6, config.d))
+    cache = prefill(w, config, X[:3], capacity=7)
+    assert held_rows(cache) == 4
+    assert_aligned(cache)
+    append_token(cache, w, config, X[3])
+    append_token(cache, w, config, X[4])  # grows: 4 rows to 7, the capacity
+    assert held_rows(cache) == 7
+    assert_aligned(cache)
+    rolled_back = prefill(w, config, X[:4], capacity=7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError):
+            decode_explicit(rolled_back, w, config, np.full(config.d, 1e308))
+    assert held_rows(rolled_back) == 4
+    assert_aligned(rolled_back)
+
+
+@st.composite
+def growth_cases(draw):
+    """A mechanism, a float dtype and a capacity that is not a power of two."""
+    mechanism, kw = draw(st.sampled_from(FIVE))
+    config = AttentionConfig(mechanism=mechanism, d=8, H=2, d_h=4,
+                             **{k: min(v, 2) for k, v in kw.items()})
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    capacity = draw(st.integers(3, 48).filter(lambda c: c & (c - 1)))
+    return config, dtype, capacity
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=growth_cases(), seed=st.integers(0, 2**32 - 1))
+def test_buffers_hold_the_next_power_of_two_rows(case, seed):
+    """After each of n = 0..33 appends the buffers hold rows(n) rows, never
+    more than the capacity or than max(1, 2n), and a prefill of the same n
+    tokens has the same shapes and bytes."""
+    config, dtype, capacity = case
+    w = init_weights(config, RngSpec(seed=seed)).astype(dtype)
+    X = np.random.default_rng(seed).standard_normal((33, config.d)).astype(dtype)
+    cache = empty_cache(config, capacity, dtype=dtype)
+    for n in range(min(33, capacity) + 1):
+        if n:
+            append_token(cache, w, config, X[n - 1])
+        assert cache.length == n
+        assert held_rows(cache) == rows_for(n, capacity)
+        assert held_rows(cache) <= min(capacity, max(1, 2 * n))
+        assert stream_bytes(cache) == stream_bytes(prefill(w, config, X[:n], capacity))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.int32])
+def test_a_non_float_cache_dtype_is_a_configuration_error(dtype):
+    config = cfg(Mechanism.LRKV, r=5)
+    w = init_weights(config, RngSpec(seed=0))
+    name = np.dtype(dtype).name
+    with pytest.raises(ConfigurationError, match=f"got {name}$"):
+        prefill(w, config, np.ones((3, config.d), dtype=dtype))
+    with pytest.raises(ConfigurationError, match=f"got {name}$"):
+        empty_cache(config, 4, dtype=dtype)
+    with pytest.raises(ConfigurationError, match=f"got {name}$"):
+        prefill(w, config, np.ones((3, config.d)), capacity=4, dtype=dtype)
+
+
+def test_a_float16_cache_still_decodes():
+    config = cfg(Mechanism.LRKV, r=5)
+    w = init_weights(config, RngSpec(seed=0))
+    X = np.random.default_rng(1).standard_normal((4, config.d)).astype(np.float16)
+    cache = prefill(w, config, X[:3], capacity=4)
+    step = decode_factored(cache, w, config, X[3])
+    assert cache.dtype == step.logits.dtype == np.float16 and cache.length == 4
+    assert np.isfinite(step.out).all()
 
 
 @pytest.mark.parametrize("mechanism,kw,decode", [

@@ -8,6 +8,7 @@ from attnlab import (
     ConfigurationError,
     CostQuery,
     Mechanism,
+    RngSpec,
     UnsupportedMechanismError,
     ablation_table,
     cache_bytes,
@@ -16,7 +17,9 @@ from attnlab import (
     decode_flops,
     decode_flops_breakdown,
     empty_cache,
+    init_weights,
     kv_param_count,
+    prefill,
 )
 
 
@@ -91,6 +94,22 @@ def test_measured_equals_closed_form_across_random_configs():
         # a DecodeCache stores one latent stream, hence streams=1 here
         query = q(config, T=cap, bytes_per_element=bpe, mla_latent_streams=1)
         assert cache.payload_elements() * bpe == cache_bytes(query)
+
+
+@pytest.mark.parametrize("mechanism,kw", [
+    (Mechanism.MHA, {}), (Mechanism.MQA, {}), (Mechanism.GQA, {"G": 2}),
+    (Mechanism.MLA, {"d_c": 10}), (Mechanism.LRKV, {"r": 5}),
+], ids=["mha", "mqa", "gqa", "mla", "lrkv"])
+def test_payload_of_a_part_filled_cache_is_priced_at_capacity(mechanism, kw):
+    """A cache holding fewer rows than its capacity still reports the bytes
+    of a full one: what ``cache_bytes`` prices at T = capacity."""
+    config = cfg(mechanism, **kw)
+    w = init_weights(config, RngSpec(seed=0))
+    X = np.random.default_rng(1).standard_normal((5, config.d))
+    cache = prefill(w, config, X, capacity=13)
+    assert {buf.shape[-2] for buf in cache.streams.values()} == {8}
+    query = q(config, T=13, bytes_per_element=8, mla_latent_streams=1)
+    assert cache.payload_nbytes() == cache_bytes(query)
 
 
 @given(st.integers(1, 64), st.integers(1, 16))
