@@ -21,9 +21,13 @@ the parent's median, is wider than the bound (also a fraction of that
 median) and not every change run beats every parent run. ``--claim``
 states the gain the change claims beforehand; it is judged on the design
 seeds alone, and the held-out pair is reported beside it.
-``--trace-workload`` adds one ``--trace 1`` run per side, with seed 1031,
-whose per-layer metrics are recorded as they come. The benchmark itself is
-never imported: only its output is read.
+``--trace-workload`` adds ``TRACE_RUNS`` ``--trace 1`` runs per side, all
+with seed 1031, in alternating pairs (``trace_plan``): one traced run per
+side has read per-layer ratios of 1.2-1.3x where the untraced medians read
+1.0x, because it catches whatever host spell it runs in. Each traced run's
+per-layer metrics are recorded, with each side's per-metric median and the
+ratio of the medians. The benchmark itself is never imported: only its
+output is read.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import numpy as np
 
 HELD_OUT_SEED = 7919
 TRACE_SEED = 1031
+TRACE_RUNS = 3
 REPO = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 DIRS = ("tree-a", "tree-b")  # equal lengths: the trees sit at equal-length paths
@@ -60,6 +65,29 @@ def pair_plan(i: int) -> tuple[str, dict[str, str]]:
     pairs, so four pairs hold each combination once."""
     swapped = i // 2 % 2
     return SIDES[i % 2], {side: DIRS[(k + swapped) % 2] for k, side in enumerate(SIDES)}
+
+
+def trace_plan(runs: int = TRACE_RUNS) -> list[str]:
+    """The side of each traced run, in order: ``runs`` pairs whose lead
+    alternates, parent first in the first (P C C P P C for three)."""
+    return [side for k in range(runs) for side in (SIDES if k % 2 == 0 else SIDES[::-1])]
+
+
+def summarize_trace(runs: dict[str, list[dict]]) -> dict:
+    """The trace block's sides from each side's traced runs: every run, the
+    per-metric median over a side's runs, and the ratio of those medians
+    (change over parent) for the metrics both sides report."""
+    medians = {}
+    for side in SIDES:
+        names = [k for k in runs[side][0]["metrics"]
+                 if all(k in r["metrics"] for r in runs[side])]
+        medians[side] = {k: float(np.median([r["metrics"][k] for r in runs[side]]))
+                         for k in names}
+    p, c = medians["parent"], medians["change"]
+    out = {side: {"runs": runs[side], "median": medians[side]} for side in SIDES}
+    out["ratio_change_over_parent"] = {k: c[k] / p[k] if p[k] else float("nan")
+                                       for k in p if k in c}
+    return out
 
 
 def swap_trees(scratch: Path) -> None:
@@ -215,7 +243,8 @@ def main(argv=None) -> int:
                     help="design seeds, one pair each (default 2001-2010)")
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC:MAX_RATIO",
                     help="the gain claimed beforehand, e.g. long-generation:svd_compare_s:0.6")
-    ap.add_argument("--trace-workload", help="also run --trace 1 once per side on this workload")
+    ap.add_argument("--trace-workload",
+                    help=f"also run --trace 1 {TRACE_RUNS} times per side on this workload")
     ap.add_argument("--what", default="", help="one line on what the change does")
     args = ap.parse_args(argv)
 
@@ -283,11 +312,16 @@ def main(argv=None) -> int:
         }
     out["workloads"] = blocks
     if args.trace_workload:
-        out["trace"] = {"note": f"one --trace 1 run per side, {args.trace_workload} seed "
-                                f"{TRACE_SEED}; per-layer metrics of BENCHMARK.json (no bounds)"}
-        for side in SIDES:
+        plan = trace_plan()
+        traced = {side: [] for side in SIDES}
+        for side in plan:
             r = run_bench(args.scratch / home[side], args.trace_workload, TRACE_SEED, seconds, 1)
-            out["trace"][side] = {k: r[k] for k in ("exit_code", "correct", "metrics")}
+            traced[side].append({k: r[k] for k in ("exit_code", "correct", "metrics")})
+            print(f"{args.trace_workload} traced {side}: exit {r['exit_code']}", file=sys.stderr)
+        out["trace"] = {"note": f"{TRACE_RUNS} --trace 1 runs per side, {args.trace_workload} "
+                                f"seed {TRACE_SEED}, in the order of 'plan'; per-layer metrics "
+                                "of BENCHMARK.json (no bounds)",
+                        "plan": plan, **summarize_trace(traced)}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

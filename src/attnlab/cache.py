@@ -36,8 +36,12 @@ differences at the 1e-9 level (float64) for prefixes up to 4096.
 
 Both paths batch the heads: the step's queries are one (H, d_h) block, and
 each cached stream (a K/V group, the shared K/V, Z, the stacked latents) is
-read by one matmul per step for all the heads that use it, not once per
-head. The heads' softmaxes are one ``softmax_row`` over (H, t) logits.
+read by one matmul per step for all the heads that use it. Keys shared by
+at most ``GEMV_ROWS`` query heads are the exception: ``_scores`` reads
+them once per query head, one gemv each and all in one numpy call, the
+first read from memory and the repeats from L2, which on cold rows beats
+one GEMM over that few query rows. The heads' softmaxes are one
+``softmax_row`` over (H, t) logits.
 
 Held rows past ``length`` are zero, as in a fresh cache. A decode step
 that raises (say, on logits that overflow) sets the cache back: ``length``
@@ -104,6 +108,13 @@ FACTORED = (Mechanism.LRKV, Mechanism.MLA)
 # of a stream's rows is ``append.<weight>``.
 STREAMS = ("wk", "wv", "wk_shared", "wv_shared", "wdown", "uk", "uv")
 
+# Most query heads per key head that ``_scores`` runs as one gemv each; a
+# larger group is one GEMM. Measured per group on cold 800 x 128 float64 key
+# rows (one BLAS thread), the per-head gemvs took 0.61x the GEMM's time at
+# 2 query rows, 0.68x at 3 and 0.78x at 4, tied at 6 (0.97-1.05x) and lost
+# at 8 (1.08-1.17x).
+GEMV_ROWS = 4
+
 AllocHook = Callable[[str, tuple], None]
 _alloc_hook: AllocHook | None = None
 
@@ -153,6 +164,15 @@ class DecodeCache:
     @property
     def dtype(self) -> np.dtype:
         return next(iter(self.streams.values())).dtype
+
+    def __deepcopy__(self, memo: dict) -> DecodeCache:
+        """A copy with buffers of its own, allocated by ``_zeros`` as every
+        cache buffer is, so they too start on a ``weights.ALIGNMENT`` boundary."""
+        streams = {name: _zeros(buf.shape, buf.dtype) for name, buf in self.streams.items()}
+        for name, buf in streams.items():
+            buf[...] = self.streams[name]
+        memo[id(self)] = dup = DecodeCache(streams, self.capacity, self.length)
+        return dup
 
 
 @dataclass(frozen=True)
@@ -312,6 +332,18 @@ def _rowwise(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ stack)[:, 0]
 
 
+def _scores(Q: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """(n, m, d_h) queries against (n, t, d_h) keys: the (n, m, t) scores.
+
+    With m <= ``GEMV_ROWS`` query rows per key head, each row is one gemv
+    over its head's keys, and row i of group g equals its own
+    ``Q[g, i] @ K[g].T`` bit for bit; a larger group is one GEMM per key head.
+    """
+    if Q.shape[1] <= GEMV_ROWS:
+        return (K[:, None] @ Q[..., None])[..., 0]
+    return Q @ K.transpose(0, 2, 1)
+
+
 def decode_explicit(
     cache: DecodeCache, w: WeightSet, config: AttentionConfig, x: np.ndarray
 ) -> DecodeStepOutput:
@@ -339,7 +371,7 @@ def decode_explicit(
         if config.qk_norm:
             Q = _note("explicit.q_norm", rmsnorm(Q))
             K = _note("explicit.k_norm", rmsnorm(K))
-        scores = (Q.reshape(n, H // n, d_h) @ K.transpose(0, 2, 1)).reshape(H, t)
+        scores = _scores(Q.reshape(n, H // n, d_h), K).reshape(H, t)
         logits = _note("decode.scores", _scaled(scores, config, cache))
         A = _note("decode.weights", softmax_row(logits))
         out = _note("decode.out", (A.reshape(n, H // n, t) @ V).reshape(H, d_h))
@@ -369,7 +401,8 @@ def decode_factored(
     Both are exact rewrites of the explicit path. Only defined with
     qk_norm off (row normalization does not commute with the factors).
     Each line runs for all heads at once: the (H, d_h) query block reads
-    K_shared, V_shared or Z once per step.
+    V_shared or Z once per step, and K_shared through ``_scores``, as the
+    explicit path reads a K/V head.
     """
     require_mechanism(config, "decode_factored", *FACTORED)
     if config.qk_norm:
@@ -390,7 +423,8 @@ def decode_factored(
             out = _note("decode.out", _rowwise(az, w.wup_v))
             return _finalize(logits, out)
 
-        base = _note("factored.shared_scores", Q @ cache.streams["wk_shared"][:t].T)
+        base = _note("factored.shared_scores",
+                     _scores(Q[None], cache.streams["wk_shared"][None, :t])[0])
         qb = _note("factored.k_latent_query", _rowwise(Q, w.bk))
         corr = _note("factored.score_correction",
                      (cache.streams["uk"][:, :t] @ qb[:, :, None])[:, :, 0])

@@ -161,6 +161,14 @@ def test_forward_agrees_with_incremental_decode(config):
         assert np.allclose(step.concat_out(), Y[i], rtol=0, atol=1e-9), f"row {i}"
 
 
+@pytest.mark.parametrize("H,G", [(6, 2), (32, 2)], ids=["3-per-group", "16-per-group"])
+def test_gqa_decode_agrees_with_forward_attention_per_group_size(H, G):
+    """Groups of 3 query heads are scored one gemv per head, groups of 16
+    by one GEMM (``cache.GEMV_ROWS``): decode agrees with the whole-sequence
+    pass either way."""
+    test_forward_agrees_with_incremental_decode(cfg(Mechanism.GQA, d=H * 8, H=H, d_h=8, G=G))
+
+
 def _forward_per_head(w, config, X, per_head_kv):
     """Reference forward pass: one head at a time, one softmax row at a time."""
     T = X.shape[0]

@@ -11,6 +11,7 @@ from attnlab import (
     AttentionConfig,
     CapacityError,
     ConfigurationError,
+    CostQuery,
     DimensionError,
     Mechanism,
     NumericalError,
@@ -21,13 +22,15 @@ from attnlab import (
     append_token,
     decode_explicit,
     decode_factored,
+    decode_flops,
     empty_cache,
     equivalence_report,
+    get_preset,
     init_weights,
     prefill,
     set_alloc_hook,
 )
-from attnlab.cache import FACTORED, STREAMS
+from attnlab.cache import FACTORED, GEMV_ROWS, STREAMS, _scores
 from attnlab.weights import ALIGNMENT, tensor_shapes
 
 
@@ -481,6 +484,29 @@ def test_deep_copied_cache_is_independent(mechanism, kw, decode):
     assert stream_bytes(original) == stream_bytes(shadow)
 
 
+@pytest.mark.parametrize("mechanism,kw", FIVE, ids=FIVE_IDS)
+def test_deep_copy_allocates_aligned_buffers(mechanism, kw):
+    """``copy.deepcopy`` allocates through the cache allocator: at the 128M
+    layer shape the copy's buffers start on an ALIGNMENT boundary, hold the
+    original's shapes and bytes in memory of their own, and the same step
+    on either gives the same bits."""
+    config = AttentionConfig(mechanism=mechanism, d=768, H=6, d_h=128, **kw)
+    w = init_weights(config, RngSpec(seed=34))
+    X = np.random.default_rng(35).standard_normal((769, config.d))
+    original = prefill(w, config, X[:768], capacity=800)
+    shadow = copy.deepcopy(original)
+    assert_aligned(shadow)
+    assert stream_bytes(shadow) == stream_bytes(original)
+    assert (shadow.capacity, shadow.length) == (original.capacity, original.length)
+    assert not any(np.shares_memory(a, b)
+                   for a in shadow.streams.values() for b in original.streams.values())
+    decode = decode_factored if mechanism in FACTORED else decode_explicit
+    got, want = (decode(c, w, config, X[768]) for c in (shadow, original))
+    assert got.logits.tobytes() == want.logits.tobytes()
+    assert got.out.tobytes() == want.out.tobytes()
+    assert stream_bytes(shadow) == stream_bytes(original)
+
+
 NAN_CASES = [(Mechanism.MHA, {}), (Mechanism.LRKV, {"r": 5}), (Mechanism.MLA, {"d_c": 10})]
 NAN_IDS = ["mha", "lrkv", "mla"]
 
@@ -602,11 +628,14 @@ def test_factored_non_t_traffic_is_length_independent(log):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
-@pytest.mark.parametrize("H,d_h", [(6, 128), (5, 16)], ids=["128M", "16-wide"])
+@pytest.mark.parametrize("H,d_h", [(6, 128), (5, 16), (2, 128), (3, 16), (4, 64)],
+                         ids=["128M", "16-wide", "2-heads", "3-heads", "4-heads"])
 def test_rank_zero_decodes_as_mqa_bit_for_bit(H, d_h, dtype):
     """At r = 0 both lrkv decode paths are MQA's explicit step: the factored
     step runs its rank-r lines on (H, 0) factors, whose products are zeros
-    that leave the shared-stream scores and outputs bit for bit."""
+    that leave the shared-stream scores and outputs bit for bit. Both paths
+    score the shared keys through ``_scores``: per head up to GEMV_ROWS
+    heads, one GEMM past it."""
     d = H * d_h
     cfg0 = AttentionConfig(mechanism=Mechanism.LRKV, d=d, H=H, d_h=d_h, r=0)
     w0 = init_weights(cfg0, RngSpec(seed=3)).astype(dtype)
@@ -626,6 +655,54 @@ def test_rank_zero_decodes_as_mqa_bit_for_bit(H, d_h, dtype):
             assert got.logits.dtype == got.out.dtype == dtype
             assert np.array_equal(got.logits, want.logits)
             assert np.array_equal(got.out, want.out)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 16])
+def test_scores_branches_equal_their_reference_bit_for_bit(m, dtype):
+    """Up to GEMV_ROWS query rows per key head, each row's scores are its own
+    ``q @ K.T``; past it they are the GEMM ``Q @ K^T``. The keys are a cache
+    view: t of a buffer's held rows."""
+    rng = np.random.default_rng(m)
+    Q = rng.standard_normal((3, m, 128)).astype(dtype)
+    K = rng.standard_normal((3, 256, 128)).astype(dtype)[:, :200]
+    got = _scores(Q, K)
+    if m <= GEMV_ROWS:
+        want = np.stack([[q @ K[g].T for q in Q[g]] for g in range(len(Q))])
+    else:
+        want = Q @ K.transpose(0, 2, 1)
+    assert got.shape == (3, m, 200) and got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_gemv_rows_sends_only_the_128m_gqa_groups_per_head():
+    """The measured crossover at the 128M shape: gqa's 2 query heads per K/V
+    head run as per-head gemvs, the 6 heads on the one shared stream of mqa
+    and lrkv stay one GEMM, and mha's lone heads are one gemv either way."""
+    p = get_preset("128M")
+    assert p.H // p.G <= GEMV_ROWS < p.H
+
+
+@pytest.mark.parametrize("mechanism,kw,path", [
+    pytest.param(Mechanism.GQA, {"G": 2}, "explicit", id="gqa-2-per-group"),
+    pytest.param(Mechanism.GQA, {"d": 128, "H": 16, "d_h": 8, "G": 1}, "explicit",
+                 id="gqa-16-per-group"),
+    pytest.param(Mechanism.LRKV, {"r": 0}, "factored", id="lrkv-r0-4-heads"),
+    pytest.param(Mechanism.LRKV, {"d": 72, "H": 6, "r": 3}, "factored", id="lrkv-6-heads"),
+])
+def test_a_step_notes_one_scores_event_and_its_closed_form_flops(
+        log, instrumented_step_flops, mechanism, kw, path):
+    """On either side of GEMV_ROWS a step reports its scores as one (H, t)
+    event, and its hook tally is the closed form's FLOPs."""
+    config = cfg(mechanism, **kw)
+    w = init_weights(config, RngSpec(seed=36))
+    X = np.random.default_rng(37).standard_normal((9, config.d))
+    cache = prefill(w, config, X[:8], capacity=9)
+    log.drain()
+    (decode_factored if path == "factored" else decode_explicit)(cache, w, config, X[8])
+    scores = [shape for tag, shape in log.drain() if tag == "decode.scores"]
+    assert scores == [(config.H, 9)]
+    assert instrumented_step_flops(config, 9, path) == decode_flops(CostQuery(config, T=9))[0]
 
 
 def test_set_alloc_hook_returns_previous():

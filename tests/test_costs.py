@@ -270,6 +270,37 @@ def test_instrumented_count_equals_closed_form_on_any_config(step, T, instrument
     assert instrumented_step_flops(config, T, path) == closed
 
 
+def _explicit_lrkv_flops(config, T):
+    """The explicit lrkv step in closed form, the analog of mla's reconstruct
+    path with d_c -> r: the breakdown's projections and softmax, each head's
+    K and V rebuilt from its rank-r latents (4·H·T·r·d_h) and a full-width
+    scan (4·H·T·d_h), with no lift."""
+    parts = decode_flops_breakdown(q(config, T=T))
+    H, d_h, r = config.H, config.d_h, config.r
+    return parts["proj_new_token"] + parts["softmax"] + 4 * H * T * r * d_h + 4 * H * T * d_h
+
+
+@pytest.mark.parametrize("kw,T", [({"r": 5}, 64), ({"r": 0}, 64), ({"r": 12}, 1),
+                                  ({"d": 768, "H": 6, "d_h": 128, "r": 64}, 40)])
+def test_explicit_lrkv_step_count_equals_its_closed_form(kw, T, instrumented_step_flops):
+    config = cfg(Mechanism.LRKV, **kw)
+    assert instrumented_step_flops(config, T, "explicit") == _explicit_lrkv_flops(config, T)
+
+
+@st.composite
+def lrkv_configs(draw):
+    H, d_h = draw(st.integers(1, 6)), draw(st.integers(1, 16))
+    return AttentionConfig(mechanism=Mechanism.LRKV, d=H * d_h, H=H, d_h=d_h,
+                           r=draw(st.integers(0, H * d_h)))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=lrkv_configs(), T=st.integers(1, 48))
+def test_explicit_lrkv_step_count_equals_its_closed_form_on_any_config(
+        config, T, instrumented_step_flops):
+    assert instrumented_step_flops(config, T, "explicit") == _explicit_lrkv_flops(config, T)
+
+
 # ---------------------------------------------------------------- tables
 
 

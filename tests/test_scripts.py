@@ -228,3 +228,57 @@ def test_bench_pairs_rejects_a_bad_option_before_the_first_pair(monkeypatch, tmp
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+def test_bench_pairs_trace_plan_alternates_the_lead():
+    pairs = load_script("bench_pairs")
+    assert pairs.trace_plan() == ["parent", "change", "change", "parent", "parent", "change"]
+    assert pairs.trace_plan(2) == ["parent", "change", "change", "parent"]
+    assert pairs.TRACE_RUNS == 3
+
+
+def test_bench_pairs_trace_block_keeps_every_run_and_medians():
+    pairs = load_script("bench_pairs")
+
+    def run(a, b=None):
+        metrics = {"a_us": a} if b is None else {"a_us": a, "b_us": b}
+        return {"exit_code": 0, "correct": True, "metrics": metrics}
+
+    runs = {"parent": [run(10.0, 1.0), run(30.0, 3.0), run(20.0, 2.0)],
+            "change": [run(9.0), run(11.0, 5.0), run(100.0, 5.0)]}
+    block = pairs.summarize_trace(runs)
+    assert block["parent"]["runs"] == runs["parent"] and block["change"]["runs"] == runs["change"]
+    assert block["parent"]["median"] == {"a_us": 20.0, "b_us": 2.0}
+    # b_us is missing from one change run: its median would stand on two runs
+    assert block["change"]["median"] == {"a_us": 11.0}
+    assert block["ratio_change_over_parent"] == {"a_us": 0.55}
+
+
+def test_bench_pairs_runs_the_trace_plan_and_records_each_run(monkeypatch, tmp_path):
+    pairs = load_script("bench_pairs")
+    traced = []
+
+    def export(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps(dict(BENCH_SPEC, run_seconds=1)))
+        (dest / "rev").write_text(rev)
+        return rev
+
+    def run_bench(tree, workload, seed, seconds, trace):
+        rev = (tree / "rev").read_text()
+        if trace:
+            traced.append((rev, workload, seed))
+        metrics = {"layer_us": 2.0 if rev == "b" else 4.0} if trace else {"verify_s": 1.0}
+        return {"exit_code": 0, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": metrics, "env": {}}
+
+    monkeypatch.setattr(pairs, "export", export)
+    monkeypatch.setattr(pairs, "run_bench", run_bench)
+    out = tmp_path / "BENCH.json"
+    assert pairs.main(["a", "b", "--scratch", str(tmp_path / "s"), "--out", str(out),
+                       "--seeds", "1-3", "--trace-workload", "long-prompt"]) == 0
+    assert traced == [(rev, "long-prompt", pairs.TRACE_SEED) for rev in "abbaab"]
+    trace = json.loads(out.read_text())["trace"]
+    assert trace["plan"] == pairs.trace_plan()
+    assert [len(trace[side]["runs"]) for side in pairs.SIDES] == [pairs.TRACE_RUNS] * 2
+    assert trace["ratio_change_over_parent"] == {"layer_us": 0.5}
