@@ -67,22 +67,18 @@ def pair_plan(i: int) -> tuple[str, dict[str, str]]:
     return SIDES[i % 2], {side: DIRS[(k + swapped) % 2] for k, side in enumerate(SIDES)}
 
 
-def trace_plan(runs: int = TRACE_RUNS) -> list[str]:
-    """The side of each traced run, in order: ``runs`` pairs whose lead
-    alternates, parent first in the first (P C C P P C for three)."""
-    return [side for k in range(runs) for side in (SIDES if k % 2 == 0 else SIDES[::-1])]
+def trace_plan() -> list[str]:
+    """The side of each traced run, in order: ``TRACE_RUNS`` pairs whose
+    lead alternates, parent first in the first (P C C P P C for three)."""
+    return [side for k in range(TRACE_RUNS) for side in (SIDES if k % 2 == 0 else SIDES[::-1])]
 
 
 def summarize_trace(runs: dict[str, list[dict]]) -> dict:
     """The trace block's sides from each side's traced runs: every run, the
     per-metric median over a side's runs, and the ratio of those medians
-    (change over parent) for the metrics both sides report."""
-    medians = {}
-    for side in SIDES:
-        names = [k for k in runs[side][0]["metrics"]
-                 if all(k in r["metrics"] for r in runs[side])]
-        medians[side] = {k: float(np.median([r["metrics"][k] for r in runs[side]]))
-                         for k in names}
+    (change over parent) for the metrics both revisions report."""
+    medians = {side: {k: float(np.median([r["metrics"][k] for r in runs[side]]))
+                      for k in runs[side][0]["metrics"]} for side in SIDES}
     p, c = medians["parent"], medians["change"]
     out = {side: {"runs": runs[side], "median": medians[side]} for side in SIDES}
     out["ratio_change_over_parent"] = {k: c[k] / p[k] if p[k] else float("nan")
