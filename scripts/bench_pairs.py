@@ -260,6 +260,55 @@ def main(argv=None) -> int:
     first = [lead for lead, _ in plans]
 
     env, blocks = {}, {}
+
+    def write(traced: dict[str, list[dict]] | None = None) -> None:
+        """Write the BENCH file from what has run so far: each workload's
+        block once its pairs are done, the claim once its workload is, and
+        the traced runs last; so a plan cut short leaves its finished
+        workloads behind."""
+        out = {
+            "what": args.what,
+            "revisions": revisions,
+            "environment": {k: v for k, v in env.items() if k not in ("seed", "workload")},
+            "method": {
+                "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} "
+                           "--trace 0",
+                "run_seconds": seconds, "trace": 0,
+                "trees": f"git archive of each revision into {' and '.join(DIRS)}, paths of "
+                         "equal length; the trees trade directories by renaming every two pairs",
+                "order": "parent first in even-numbered pairs, change first in odd-numbered pairs",
+                "parent_tree_in_pair": [dirs["parent"] for _, dirs in plans],
+                "quartiles": "numpy.percentile, linear interpolation, over the pairs' runs",
+                "win": "a pair is won when the change's run is strictly better in the metric's "
+                       "direction",
+                "worse_than_bound": "the ratio of medians is past 1 + bound (lower is better) "
+                                    "or 1 - bound (higher is better)",
+                "unresolved": "the parent's IQR over its median exceeds the bound, and not "
+                              "every change run beats every parent run",
+                "held_out_seed": HELD_OUT_SEED,
+            },
+        }
+        if claim and claim[0] in blocks:
+            workload, metric, max_ratio = claim
+            m = blocks[workload]["metrics"][metric]
+            n = len(args.seeds)
+            out["claim"] = {
+                "metric": metric, "workload": workload,
+                "rule": f"over the {n} design seeds the change wins >= 9/10 of the pairs, its "
+                        f"median is within {max_ratio:g}x the parent's, and |median "
+                        "difference| > parent IQR; the held-out seed is reported beside it",
+                "result": judge_claim(m["parent_runs"][:n], m["change_runs"][:n],
+                                      m["better"], max_ratio),
+                f"held_out_seed_{HELD_OUT_SEED}": {side: m[f"{side}_runs"][n] for side in SIDES},
+            }
+        out["workloads"] = blocks
+        if traced:
+            out["trace"] = {"note": f"{TRACE_RUNS} --trace 1 runs per side, "
+                                    f"{args.trace_workload} seed {TRACE_SEED}, in the order of "
+                                    "'plan'; per-layer metrics of BENCHMARK.json (no bounds)",
+                            "plan": trace_plan(), **summarize_trace(traced)}
+        args.out.write_text(json.dumps(out, indent=1) + "\n")
+
     for workload in workloads:
         runs = {side: [] for side in SIDES}
         for seed, (lead, dirs) in zip(seeds, plans):
@@ -272,53 +321,14 @@ def main(argv=None) -> int:
                 runs[side].append(r)
                 print(f"{workload} seed {seed} {side}: exit {r['exit_code']}", file=sys.stderr)
         blocks[workload] = summarize_workload(spec, runs, seeds, first)
-
-    out = {
-        "what": args.what,
-        "revisions": revisions,
-        "environment": {k: v for k, v in env.items() if k not in ("seed", "workload")},
-        "method": {
-            "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
-            "run_seconds": seconds, "trace": 0,
-            "trees": f"git archive of each revision into {' and '.join(DIRS)}, paths of equal "
-                     "length; the trees trade directories by renaming every two pairs",
-            "order": "parent first in even-numbered pairs, change first in odd-numbered pairs",
-            "parent_tree_in_pair": [dirs["parent"] for _, dirs in plans],
-            "quartiles": "numpy.percentile, linear interpolation, over the pairs' runs",
-            "win": "a pair is won when the change's run is strictly better in the metric's direction",
-            "worse_than_bound": "the ratio of medians is past 1 + bound (lower is better) "
-                                "or 1 - bound (higher is better)",
-            "unresolved": "the parent's IQR over its median exceeds the bound, and not every "
-                          "change run beats every parent run",
-            "held_out_seed": HELD_OUT_SEED,
-        },
-    }
-    if claim:
-        workload, metric, max_ratio = claim
-        m = blocks[workload]["metrics"][metric]
-        n = len(args.seeds)
-        out["claim"] = {
-            "metric": metric, "workload": workload,
-            "rule": f"over the {n} design seeds the change wins >= 9/10 of the pairs, its "
-                    f"median is within {max_ratio:g}x the parent's, and |median "
-                    "difference| > parent IQR; the held-out seed is reported beside it",
-            "result": judge_claim(m["parent_runs"][:n], m["change_runs"][:n],
-                                  m["better"], max_ratio),
-            f"held_out_seed_{HELD_OUT_SEED}": {side: m[f"{side}_runs"][n] for side in SIDES},
-        }
-    out["workloads"] = blocks
+        write()
     if args.trace_workload:
-        plan = trace_plan()
         traced = {side: [] for side in SIDES}
-        for side in plan:
+        for side in trace_plan():
             r = run_bench(args.scratch / home[side], args.trace_workload, TRACE_SEED, seconds, 1)
             traced[side].append({k: r[k] for k in ("exit_code", "correct", "metrics")})
             print(f"{args.trace_workload} traced {side}: exit {r['exit_code']}", file=sys.stderr)
-        out["trace"] = {"note": f"{TRACE_RUNS} --trace 1 runs per side, {args.trace_workload} "
-                                f"seed {TRACE_SEED}, in the order of 'plan'; per-layer metrics "
-                                "of BENCHMARK.json (no bounds)",
-                        "plan": plan, **summarize_trace(traced)}
-    args.out.write_text(json.dumps(out, indent=1) + "\n")
+        write(traced)
     return 0
 
 

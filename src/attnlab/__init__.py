@@ -24,7 +24,6 @@ from .config import AttentionConfig, Mechanism, RngSpec
 from .costs import (
     MIB,
     CostQuery,
-    CostReport,
     ablation_table,
     cache_bytes,
     cache_ratio,
@@ -34,8 +33,6 @@ from .costs import (
     kv_param_count,
 )
 from .diversity import (
-    MagnitudeReport,
-    SpectrumReport,
     bilinear_forms,
     center_gram,
     cosine,
@@ -61,7 +58,6 @@ from .gradcheck import gradcheck_rows
 from .jacobi import jacobi_eigh
 from .presets import PRESET_NAMES, PRESETS, ScalePreset, config_for, get_preset
 from .weights import (
-    ProjectionGrad,
     WeightSet,
     effective_weights,
     gqa_group,
@@ -71,16 +67,15 @@ from .weights import (
 
 __all__ = [
     "AttentionConfig", "Mechanism", "RngSpec",
-    "WeightSet", "ProjectionGrad", "init_weights", "effective_weights",
+    "WeightSet", "init_weights", "effective_weights",
     "projection_backward", "gqa_group",
     "forward_attention", "rmsnorm", "softmax_row",
     "DecodeCache", "DecodeStepOutput", "empty_cache", "prefill",
     "append_token", "decode_explicit", "decode_factored",
     "equivalence_report", "set_alloc_hook",
-    "MIB", "CostQuery", "CostReport", "cache_bytes", "cache_ratio",
+    "MIB", "CostQuery", "cache_bytes", "cache_ratio",
     "kv_param_count", "decode_flops", "decode_flops_breakdown",
     "ablation_table", "cost_report",
-    "SpectrumReport", "MagnitudeReport",
     "bilinear_forms", "gram", "cosine", "center_gram", "spectrum",
     "diversity_report", "magnitude_report", "svd_truncate",
     "factorization_gap", "jacobi_eigh",

@@ -169,9 +169,9 @@ def _memory_row(config, preset, args) -> dict:
         formula = cache_ratio(replace(config, r=preset.table_rank))
     else:
         formula = cache_ratio(config)
-    return {"mechanism": config.mechanism.value, "cache_bytes": rep.cache_bytes,
-            "cache_mib": rep.cache_bytes / MIB, "ratio_vs_mha": rep.cache_ratio_vs_mha,
-            "ratio_formula": formula, "kv_param_count": rep.kv_param_count}
+    return {"mechanism": config.mechanism.value, "cache_bytes": rep["cache_bytes"],
+            "cache_mib": rep["cache_bytes"] / MIB, "ratio_vs_mha": rep["cache_ratio_vs_mha"],
+            "ratio_formula": formula, "kv_param_count": rep["kv_param_count"]}
 
 
 def _cmd_memory(args) -> int:
@@ -236,9 +236,9 @@ def _cmd_diversity(args) -> int:
                [dict(zip(heads, row)) for row in rep["similarity"]])
     variants = ("uncentered", "centered")
     components = [
-        {"variant": v, "component": i, "eigenvalue": rep[v].eigenvalues[i],
-         "variance_fraction": rep[v].variance_fractions[i],
-         "cumulative_variance": rep[v].cumulative_variance[i]}
+        {"variant": v, "component": i, "eigenvalue": rep[v]["eigenvalues"][i],
+         "variance_fraction": rep[v]["variance_fractions"][i],
+         "cumulative_variance": rep[v]["cumulative_variance"][i]}
         for v in variants for i in range(rep["H"])
     ]
     _write_csv(f"{prefix}_spectrum.csv", {"variant": "{}", "component": "{}",
@@ -251,7 +251,7 @@ def _cmd_diversity(args) -> int:
                {"variant": "{}", "effective_rank_abs": "{:.6f}",
                 "effective_rank_pct": "{:.6f}", "n_components_for_90pct": "{}",
                 "degenerate": "{:d}", "degenerate_heads": "{}"},
-               [{"variant": v, **vars(rep[v]), "degenerate_heads": degenerate_heads}
+               [{"variant": v, **rep[v], "degenerate_heads": degenerate_heads}
                 for v in variants])
     return 0
 

@@ -28,6 +28,9 @@ separate K and V streams) is an accounting knob of ``CostQuery``; two
 streams is the default, and the one ``cache_ratio`` prices. A DecodeCache
 always holds the single shared stream, so its ``payload_nbytes`` matches
 single-stream queries.
+
+Results are plain: ``cost_report`` and ``decode_flops_breakdown`` return
+dicts, ``ablation_table`` a list of dict rows, ``decode_flops`` a tuple.
 """
 
 from __future__ import annotations
@@ -68,19 +71,6 @@ class CostQuery:
                 f"bytes_per_element must be one of {VALID_BYTES_PER_ELEMENT}, "
                 f"got {self.bytes_per_element}"
             )
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """One mechanism's cache footprint and K/V parameter count for one query.
-
-    ``cache_ratio_vs_mha`` is always the byte ratio against the full-cache
-    baseline under the identical query (same H, d_h, T, batch, precision).
-    """
-
-    cache_bytes: int
-    cache_ratio_vs_mha: float
-    kv_param_count: int
 
 
 def cache_bytes(q: CostQuery) -> int:
@@ -203,13 +193,15 @@ def ablation_table(
     return rows
 
 
-def cost_report(q: CostQuery) -> CostReport:
-    """Cache bytes, byte ratio vs baseline and K/V parameters for one query."""
+def cost_report(q: CostQuery) -> dict:
+    """Cache bytes, byte ratio vs baseline and K/V parameters for one query:
+    a dict of ``cache_bytes``, ``cache_ratio_vs_mha`` (against the full-cache
+    baseline under the identical query) and ``kv_param_count``."""
     bytes_self = cache_bytes(q)
     mha_q = replace(q, config=replace(q.config, mechanism=Mechanism.MHA))
     bytes_mha = cache_bytes(mha_q)
-    return CostReport(
-        cache_bytes=bytes_self,
-        cache_ratio_vs_mha=bytes_self / bytes_mha if bytes_mha else 0.0,
-        kv_param_count=kv_param_count(q.config),
-    )
+    return {
+        "cache_bytes": bytes_self,
+        "cache_ratio_vs_mha": bytes_self / bytes_mha if bytes_mha else 0.0,
+        "kv_param_count": kv_param_count(q.config),
+    }

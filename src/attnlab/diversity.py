@@ -23,11 +23,12 @@ head rather than raising), double-center it, take the eigenvalues
 (round-robin Jacobi), and report the exp-entropy effective rank — a smooth
 count of independent directions the heads actually span around their mean.
 Every Gram here is a plain (H, H) float64 array.
+
+Reports are dicts (``spectrum``, ``diversity_report``, ``magnitude_report``,
+``factorization_gap``'s rows); a result of several arrays is a tuple.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,25 +40,6 @@ from .weights import WeightSet, effective_weights, gqa_group
 # Eigenvalues of a PSD Gram this far below zero are roundoff; further is not.
 EIGENVALUE_CLIP = -1e-10
 CUMULATIVE_TARGET = 0.90
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenvalue summary of a Gram matrix.
-
-    ``effective_rank_pct`` is the effective rank as a fraction of the head
-    count. A fully degenerate (all-zero) spectrum reports effective rank 0
-    with ``degenerate`` set, so identical heads read as "no variance around
-    the mean" rather than as an error.
-    """
-
-    eigenvalues: np.ndarray
-    variance_fractions: np.ndarray
-    cumulative_variance: np.ndarray
-    effective_rank_abs: float
-    effective_rank_pct: float
-    n_components_for_90pct: int
-    degenerate: bool = False
 
 
 def _per_head(stack: np.ndarray, H: int) -> np.ndarray:
@@ -115,8 +97,14 @@ def center_gram(G: np.ndarray) -> np.ndarray:
     return G - row - col + grand
 
 
-def spectrum(G: np.ndarray) -> SpectrumReport:
+def spectrum(G: np.ndarray) -> dict:
     """Eigenvalues, variance fractions, and exp-entropy effective rank.
+
+    A dict of ``eigenvalues``, ``variance_fractions``, ``cumulative_variance``,
+    ``effective_rank_abs``, ``effective_rank_pct`` (as a fraction of the head
+    count), ``n_components_for_90pct`` and ``degenerate``: an all-zero
+    spectrum reports effective rank 0 and no components, so identical heads
+    read as "no variance around the mean" rather than as an error.
 
     Slightly negative eigenvalues (roundoff on a PSD matrix) are floored to
     zero; anything materially negative means the input was not a Gram
@@ -128,40 +116,29 @@ def spectrum(G: np.ndarray) -> SpectrumReport:
             f"Gram spectrum has eigenvalue {evals.min():g} below {EIGENVALUE_CLIP:g}"
         )
     evals = np.clip(evals, 0.0, None)
-    H = evals.size
     total = float(evals.sum())
-    if total == 0.0:
-        zeros = np.zeros(H)
-        return SpectrumReport(
-            eigenvalues=evals,
-            variance_fractions=zeros,
-            cumulative_variance=zeros,
-            effective_rank_abs=0.0,
-            effective_rank_pct=0.0,
-            n_components_for_90pct=0,
-            degenerate=True,
-        )
-    v = evals / total
+    degenerate = total == 0.0
+    v = evals / (total or 1.0)  # all zeros when degenerate
     pos = v[v > 0.0]
-    entropy = float(-np.sum(pos * np.log(pos)))
-    eff = float(np.exp(entropy))
+    eff = 0.0 if degenerate else float(np.exp(-np.sum(pos * np.log(pos))))
     cumulative = np.cumsum(v)
-    n90 = int(np.argmax(cumulative >= CUMULATIVE_TARGET - 1e-12)) + 1
-    return SpectrumReport(
-        eigenvalues=evals,
-        variance_fractions=v,
-        cumulative_variance=cumulative,
-        effective_rank_abs=eff,
-        effective_rank_pct=eff / H,
-        n_components_for_90pct=n90,
-    )
+    n90 = 0 if degenerate else int(np.argmax(cumulative >= CUMULATIVE_TARGET - 1e-12)) + 1
+    return {
+        "eigenvalues": evals,
+        "variance_fractions": v,
+        "cumulative_variance": cumulative,
+        "effective_rank_abs": eff,
+        "effective_rank_pct": eff / max(evals.size, 1),
+        "n_components_for_90pct": n90,
+        "degenerate": degenerate,
+    }
 
 
 def diversity_report(w: WeightSet, config: AttentionConfig) -> dict:
     """Full similarity/spectrum summary for one layer's heads.
 
     Returns a dict with the cosine similarity matrix, the uncentered and
-    centered SpectrumReports, and any degenerate (zero-form) heads.
+    centered ``spectrum`` dicts, and any degenerate (zero-form) heads.
     """
     sim, degenerate_heads = cosine(gram(*bilinear_forms(w, config)))
     return {
@@ -171,24 +148,6 @@ def diversity_report(w: WeightSet, config: AttentionConfig) -> dict:
         "centered": spectrum(center_gram(sim)),
         "degenerate_heads": degenerate_heads,
     }
-
-
-@dataclass(frozen=True)
-class MagnitudeReport:
-    """Frobenius norms of shared base, per-head residual, and their sum.
-
-    ``cosine_*`` is the Frobenius-inner-product cosine between the shared
-    base and each head's residual (0.0 when either side is zero).
-    """
-
-    shared_k: float
-    residual_k: np.ndarray
-    total_k: np.ndarray
-    cosine_k: np.ndarray
-    shared_v: float
-    residual_v: np.ndarray
-    total_v: np.ndarray
-    cosine_v: np.ndarray
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -209,15 +168,18 @@ def _magnitude_path(shared, us, bs):
     return shared_norm, residual, total, np.clip(cosine, -1.0, 1.0)
 
 
-def magnitude_report(w: WeightSet, config: AttentionConfig) -> MagnitudeReport:
-    """Shared/residual/total norms and alignment, K and V paths separately."""
+def magnitude_report(w: WeightSet, config: AttentionConfig) -> dict:
+    """Shared/residual/total norms and alignment, K and V paths separately.
+
+    Per path p ("k", "v"): ``shared_p``, the base's Frobenius norm, and (H,)
+    arrays ``residual_p``, ``total_p`` (base plus residual) and ``cosine_p``,
+    the Frobenius cosine of base and residual (0.0 when either is zero).
+    """
     require_mechanism(config, "magnitude_report", Mechanism.LRKV)
     sk, rk, tk, ck = _magnitude_path(w.wk_shared, w.uk, w.bk)
     sv, rv, tv, cv = _magnitude_path(w.wv_shared, w.uv, w.bv)
-    return MagnitudeReport(
-        shared_k=sk, residual_k=rk, total_k=tk, cosine_k=ck,
-        shared_v=sv, residual_v=rv, total_v=tv, cosine_v=cv,
-    )
+    return {"shared_k": sk, "residual_k": rk, "total_k": tk, "cosine_k": ck,
+            "shared_v": sv, "residual_v": rv, "total_v": tv, "cosine_v": cv}
 
 
 def svd_truncate(W: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:

@@ -7,10 +7,11 @@ The loss probed here is the generic linear functional
 with fixed random cotangents G_h — exactly the contraction any downstream
 gradient flows through, so agreement on it validates projection_backward
 for arbitrary upstream gradients. Heads are handled as stacks: the loss is
-one (H, T, d_h) product, the cotangents one (H, T, d_h) draw and the
-analytic gradients one projection_backward call. The shared base receives
-the sum of all heads' contributions, which is checked as a whole; each
-head's U_h and B_h is checked on its own row.
+X times the one K/V expansion (``effective_weights``) of the perturbed
+factors, the cotangents one (H, T, d_h) draw and the analytic gradients one
+projection_backward call. The shared base receives the sum of all heads'
+contributions, which is checked as a whole; each head's U_h and B_h is
+checked on its own row.
 
 Small tensors are checked entry by entry with central differences; tensors
 above ``MAX_ELEMENTS`` fall back to directional derivatives along random
@@ -20,10 +21,12 @@ the check tractable at large widths. Each row reports which mode ran.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .config import AttentionConfig, Mechanism, RngSpec, require_int, require_mechanism
-from .weights import init_weights, projection_backward
+from .weights import effective_weights, init_weights, projection_backward
 
 _MASK64 = (1 << 64) - 1
 
@@ -34,8 +37,7 @@ MAX_ELEMENTS = 4096  # larger tensors are checked along random directions
 N_DIRECTIONS = 8
 
 
-def _loss(X, cotangents, shared, us, bs):
-    K = X @ (shared + us @ bs.transpose(0, 2, 1))  # (H, T, d_h)
+def _loss(K, cotangents):
     # Heads are summed in order (cumsum is sequential; np.sum and the builtin
     # sum need not be), which keeps the bits of a per-head ``+=`` loop.
     return float(np.cumsum(np.sum(cotangents * K, axis=(1, 2)))[-1])
@@ -96,17 +98,19 @@ def gradcheck_rows(
         gen = np.random.Generator(np.random.PCG64(inst_seed).jumped())
         X = gen.standard_normal((DEFAULT_T, config.d))
         for path in ("k", "v"):
-            factors = ("wk_shared", "uk", "bk") if path == "k" else ("wv_shared", "uv", "bv")
-            shared, us, bs = (getattr(w, name).copy() for name in factors)
+            # The perturbations write into these copies, held by ``perturbed``.
+            names = (f"w{path}_shared", f"u{path}", f"b{path}")
+            perturbed = replace(w, **{name: getattr(w, name).copy() for name in names})
+            shared, us, bs = (getattr(perturbed, name) for name in names)
             cotangents = gen.standard_normal((config.H, DEFAULT_T, config.d_h))
-            g = projection_backward(w, config, X, cotangents, path=path)
+            dWshared, dU, dB = projection_backward(w, config, X, cotangents, path=path)
 
             def loss_at():
-                return _loss(X, cotangents, shared, us, bs)
+                return _loss(X @ effective_weights(perturbed, config, path), cotangents)
 
             # This order fixes _directional_error's draws: w_shared, u.0, b.0, u.1, ...
-            targets = [("w_shared", shared, g.dWshared)] + [
-                target for h, (u, du, b, db) in enumerate(zip(us, g.dU, bs, g.dB))
+            targets = [("w_shared", shared, dWshared)] + [
+                target for h, (u, du, b, db) in enumerate(zip(us, dU, bs, dB))
                 for target in ((f"u.{h}", u, du), (f"b.{h}", b, db))
             ]
             for name, param, analytic in targets:

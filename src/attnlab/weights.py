@@ -63,7 +63,9 @@ def aligned_empty(shape: tuple[int, ...], dtype=DTYPE, alloc=np.empty) -> np.nda
     nbytes = math.prod(shape) * dtype.itemsize
     raw = alloc(nbytes + ALIGNMENT, dtype=np.uint8)
     start = -raw.ctypes.data % ALIGNMENT
-    return raw[start:start + nbytes].view(dtype).reshape(shape)
+    # Cut from the non-empty aligned view: numpy leaves a zero-length slice
+    # at its base's pointer, so raw[start:start] would not be aligned.
+    return raw[start:][:nbytes].view(dtype).reshape(shape)
 
 
 def gqa_group(head: int, H: int, G: int) -> int:
@@ -172,15 +174,6 @@ class WeightSet:
         return out
 
 
-@dataclass(frozen=True)
-class ProjectionGrad:
-    """Analytic gradient of the LRKV factorized projection (one path, every head)."""
-
-    dWshared: np.ndarray  # (d, d_h) — summed over heads: the shared base's total
-    dU: np.ndarray        # (H, d, r)
-    dB: np.ndarray        # (H, d_h, r)
-
-
 def init_weights(config: AttentionConfig, rng: RngSpec) -> WeightSet:
     """Draw a WeightSet deterministically from (seed, config).
 
@@ -264,9 +257,10 @@ def projection_backward(
     X: np.ndarray,
     dK: np.ndarray,
     path: str = "k",
-) -> ProjectionGrad:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of every head's K_h = X @ (W_shared + U_h B_h^T) w.r.t. the
-    factors, given the (H, T, d_h) stack of cotangents dK_h:
+    factors, given the (H, T, d_h) stack of cotangents dK_h, as the tuple
+    (dWshared (d, d_h), dU (H, d, r), dB (H, d_h, r)):
 
         dWshared = sum_h X^T dK_h
         dU_h     = X^T dK_h B_h
@@ -294,4 +288,4 @@ def projection_backward(
     dWshared = np.add.reduce(X.T @ dK, axis=0)
     dU = X.T @ (dK @ B)
     dB = dK.transpose(0, 2, 1) @ (X @ U)
-    return ProjectionGrad(dWshared=dWshared, dU=dU, dB=dB)
+    return dWshared, dU, dB

@@ -252,9 +252,9 @@ def test_criterion_08_head_diversity_suite():
         assert np.abs(rsim - sim).max() <= TOL_GAUGE
         runc = spectrum(rsim)
         rcen = spectrum(center_gram(rsim))
-        assert abs(runc.effective_rank_abs - base_unc.effective_rank_abs) \
+        assert abs(runc["effective_rank_abs"] - base_unc["effective_rank_abs"]) \
             <= TOL_GAUGE
-        assert abs(rcen.effective_rank_abs - base_cen.effective_rank_abs) \
+        assert abs(rcen["effective_rank_abs"] - base_cen["effective_rank_abs"]) \
             <= TOL_GAUGE
 
     # double centering: idempotent, rows and columns sum to zero
@@ -266,7 +266,7 @@ def test_criterion_08_head_diversity_suite():
 
     # effective-rank fixtures on known eigenvalue profiles
     def eff(diag):
-        return spectrum(np.diag(np.asarray(diag, dtype=np.float64))).effective_rank_abs
+        return spectrum(np.diag(np.asarray(diag, dtype=np.float64)))["effective_rank_abs"]
 
     assert abs(eff([0.25] * 4) - 4.0) <= 1e-9
     assert abs(eff([1.0, 0.0, 0.0, 0.0]) - 1.0) <= 1e-9

@@ -190,6 +190,12 @@ def test_write_requires_config(tmp_path):
         write_archive(bare, tmp_path / "x.bin")
 
 
+def test_write_rejects_a_tensor_that_is_neither_f32_nor_f64(tmp_path):
+    w = init_weights(cfg(Mechanism.MQA), RngSpec(seed=0)).astype(np.float16)
+    with pytest.raises(ArchiveError, match="unsupported tensor dtype float16"):
+        write_archive(w, tmp_path / "x.bin")
+
+
 @pytest.mark.parametrize("field", ["r", "d_c", "G"])
 def test_unread_numpy_int_field_is_stored_as_int_and_archived(field, tmp_path):
     """An MHA config never reads r, d_c or G, yet a numpy integer there is
@@ -322,6 +328,8 @@ BAD_HEADERS = {
     "shape-negative": (_first_entry(shape=[-1, -32]), "shape"),
     "dtype-list": (_first_entry(dtype=["f64"]), "dtype"),
     "config-list": (lambda h: {**h, "config": ["mechanism"]}, "config"),
+    "manifest-object": (lambda h: {**h, "tensors": {"wq.0": h["tensors"][0]}},
+                        "manifest missing or not a list"),
     "softmax-scale-str": (_config_field(softmax_scale="x"), "softmax_scale"),
     "qk-norm-str": (_config_field(qk_norm="yes"), "qk_norm"),
     # a config that claims a million heads for a four-tensor manifest
@@ -367,7 +375,7 @@ def test_read_fields_are_aligned_and_equal_to_init(config, dtype, tmp_path):
     for field in tensor_shapes(config):
         t = getattr(again, field)
         assert t.flags.c_contiguous and t.flags.writeable, field
-        assert t.size == 0 or t.ctypes.data % ALIGNMENT == 0, field
+        assert t.ctypes.data % ALIGNMENT == 0, field
         assert t.dtype == dtype and t.tobytes() == getattr(w, field).tobytes(), field
 
 

@@ -5,6 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 from attnlab import (
     AttentionConfig,
+    DimensionError,
     Mechanism,
     RngSpec,
     decode_explicit,
@@ -64,6 +65,16 @@ def test_rmsnorm_unit_rms():
     rms = np.sqrt(np.mean(y * y, axis=-1))
     assert np.allclose(rms, 1.0, atol=1e-6)
     assert np.isfinite(rmsnorm(np.zeros(8))).all()
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((48,), r"X must be 2-D \(T, d\), got shape \(48,\)"),
+    ((5, 47), "X has width 47, config.d=48"),
+], ids=["1-D", "width"])
+def test_forward_rejects_a_malformed_sequence(shape, message):
+    config = ALL_CONFIGS[0]
+    with pytest.raises(DimensionError, match=message):
+        forward_attention(init_weights(config, RngSpec(seed=0)), config, np.zeros(shape))
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: f"{c.mechanism.value}-r{c.r}")

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from attnlab import (
     AttentionConfig,
@@ -761,3 +762,95 @@ def test_factored_decode_matches_explicit_on_any_shape(config, T, seed):
     (row,) = equivalence_report(config, RngSpec(seed=seed), T=T, trials=1,
                                 dtype=np.float64)
     assert row["max_logit_diff"] <= 1e-9 and row["max_out_diff"] <= 1e-9
+
+
+@st.composite
+def machine_setups(draw):
+    """A small config of any mechanism, a float dtype, a capacity and a seed."""
+    mechanism = draw(st.sampled_from(list(Mechanism)))
+    H = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    d_h = draw(st.sampled_from([2, 4, 8]))
+    d = H * d_h
+    kw = {}
+    if mechanism is Mechanism.LRKV:
+        kw["r"] = draw(st.integers(0, min(3, d)))
+    elif mechanism is Mechanism.MLA:
+        kw["d_c"] = draw(st.integers(1, min(5, d)))
+    elif mechanism is Mechanism.GQA:
+        kw["G"] = draw(st.sampled_from([g for g in range(1, H + 1) if H % g == 0]))
+    config = AttentionConfig(mechanism=mechanism, d=d, H=H, d_h=d_h, **kw)
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    return config, dtype, draw(st.integers(1, 24)), draw(st.integers(0, 2**32 - 1))
+
+
+# A float64 token: a seed for its normal draw, a scale (squares overflow
+# float32 past ~1.8e19 and float64 past ~1.3e154), and an entry to poison.
+TOKENS = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0] * 6 + [1e3, 1e19, 1e20, 1e38, 1e39, 1e154, 1e155, 1e300]),
+    st.sampled_from([None] * 6 + [np.nan, np.inf, -np.inf]),
+)
+
+
+class CacheMachine(RuleBasedStateMachine):
+    """Appends, both decode paths and deep copies on one DecodeCache.
+
+    After every rule the cache equals a prefill of the tokens it accepted,
+    at the same capacity, bit for bit and in buffer shapes, and every
+    buffer (an empty one too) starts on an ALIGNMENT boundary. A rejected
+    token or a failed step leaves shapes, bytes and length as they were.
+    """
+
+    @initialize(setup=machine_setups())
+    def start(self, setup):
+        self.config, self.dtype, self.capacity, seed = setup
+        self.w = init_weights(self.config, RngSpec(seed=seed)).astype(self.dtype)
+        self.cache = empty_cache(self.config, self.capacity, dtype=self.dtype)
+        self.accepted = []
+
+    def _run(self, op, spec):
+        seed, scale, poison = spec
+        x = np.random.default_rng(seed).standard_normal(self.config.d) * scale
+        if poison is not None:
+            x[seed % self.config.d] = poison
+        before = stream_bytes(self.cache), self.cache.length
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # numpy warns, then we raise
+                op(self.cache, self.w, self.config, x)
+        except (NumericalError, CapacityError):
+            assert (stream_bytes(self.cache), self.cache.length) == before
+        else:
+            self.accepted.append(x)
+
+    @rule(spec=TOKENS)
+    def append(self, spec):
+        self._run(append_token, spec)
+
+    @rule(spec=TOKENS)
+    def explicit_step(self, spec):
+        self._run(decode_explicit, spec)
+
+    @precondition(lambda self: self.config.mechanism in FACTORED)
+    @rule(spec=TOKENS)
+    def factored_step(self, spec):
+        self._run(decode_factored, spec)
+
+    @rule()
+    def deep_copy(self):
+        dup = copy.deepcopy(self.cache)
+        assert not any(np.shares_memory(a, b) for a in dup.streams.values()
+                       for b in self.cache.streams.values())
+        self.cache = dup
+
+    @invariant()
+    def equals_a_prefill_of_the_accepted_tokens(self):
+        X = np.array(self.accepted).reshape(-1, self.config.d)
+        with np.errstate(over="ignore"):  # finite rows whose screening sum overflows
+            want = prefill(self.w, self.config, X, self.capacity, dtype=self.dtype)
+        assert (self.cache.capacity, self.cache.length) == (self.capacity, len(X))
+        assert stream_bytes(self.cache) == stream_bytes(want)
+        assert_aligned(self.cache)
+
+
+TestCacheMachine = CacheMachine.TestCase
+TestCacheMachine.settings = settings(max_examples=60, stateful_step_count=20, deadline=None)

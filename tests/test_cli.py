@@ -318,9 +318,9 @@ def test_readme_numbers_are_pinned(tmp_path, capsys):
     ratio = f"{float(head0['ratio']):.3f}"
     w = read_archive(lrkv)
     mag = attnlab.magnitude_report(w, w.config)
-    shared, residuals = f"{mag.shared_k:.2f}", {f"{x:.3f}" for x in mag.residual_k}
+    shared, residuals = f"{mag['shared_k']:.2f}", {f"{x:.3f}" for x in mag["residual_k"]}
     assert (ratio, shared, residuals) == ("1.288", "11.41", {"1.141"})
-    assert np.abs(mag.cosine_k).max() <= 0.009
+    assert np.abs(mag["cosine_k"]).max() <= 0.009
     for figure in ("5.999552", "(6 components", "4.999624", "(5 components",
                    "1.607361436e+01", "1.248010950e+01", f"ratio of {ratio}",
                    f"norm is {shared}", f"residual is\n{min(residuals)}", "±0.009"):

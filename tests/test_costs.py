@@ -335,9 +335,9 @@ def test_cost_report_ratio_is_byte_ratio():
     config = cfg(Mechanism.LRKV, r=6)
     report = cost_report(q(config, T=32))
     mha_bytes = cache_bytes(q(cfg(Mechanism.MHA), T=32))
-    assert report.cache_ratio_vs_mha == pytest.approx(
-        report.cache_bytes / mha_bytes)
-    assert report.kv_param_count == kv_param_count(config)
+    assert report["cache_ratio_vs_mha"] == pytest.approx(
+        report["cache_bytes"] / mha_bytes)
+    assert report["kv_param_count"] == kv_param_count(config)
 
 
 # ---------------------------------------------------------------- query

@@ -5,6 +5,7 @@ import pytest
 
 from attnlab import (
     AttentionConfig,
+    DimensionError,
     Mechanism,
     NumericalError,
     ParameterError,
@@ -85,8 +86,8 @@ def test_gauge_invariance_of_the_full_report():
         assert np.abs(sim - base_sim).max() < 1e-9
         unc = spectrum(sim)
         cen = spectrum(center_gram(sim))
-        assert abs(unc.effective_rank_abs - base_unc.effective_rank_abs) < 1e-9
-        assert abs(cen.effective_rank_abs - base_cen.effective_rank_abs) < 1e-9
+        assert abs(unc["effective_rank_abs"] - base_unc["effective_rank_abs"]) < 1e-9
+        assert abs(cen["effective_rank_abs"] - base_cen["effective_rank_abs"]) < 1e-9
 
 
 def test_gram_names_degenerate_head():
@@ -128,9 +129,9 @@ def test_centering_kills_a_common_component():
     sim, _ = cosine(gram(np.repeat(wq, 4, axis=0), np.repeat(wk, 4, axis=0)))
     assert np.allclose(sim, 1.0, atol=1e-12)
     centered = spectrum(center_gram(sim))
-    assert centered.degenerate
-    assert centered.effective_rank_abs == 0.0
-    assert centered.n_components_for_90pct == 0
+    assert centered["degenerate"]
+    assert centered["effective_rank_abs"] == 0.0
+    assert centered["n_components_for_90pct"] == 0
 
 
 # ------------------------------------------------------------- spectrum
@@ -143,34 +144,34 @@ def diag_gram(values):
 def test_effective_rank_uniform_spectrum():
     for H in (2, 5, 8):
         rep = spectrum(diag_gram(np.ones(H)))
-        assert rep.effective_rank_abs == pytest.approx(H, abs=1e-12)
-        assert rep.effective_rank_pct == pytest.approx(1.0, abs=1e-12)
-        assert rep.n_components_for_90pct == int(np.ceil(0.9 * H))
+        assert rep["effective_rank_abs"] == pytest.approx(H, abs=1e-12)
+        assert rep["effective_rank_pct"] == pytest.approx(1.0, abs=1e-12)
+        assert rep["n_components_for_90pct"] == int(np.ceil(0.9 * H))
 
 
 def test_effective_rank_one_hot_spectrum():
     rep = spectrum(diag_gram([1.0, 0.0, 0.0, 0.0]))
-    assert rep.effective_rank_abs == pytest.approx(1.0, abs=1e-12)
-    assert rep.n_components_for_90pct == 1
+    assert rep["effective_rank_abs"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["n_components_for_90pct"] == 1
 
 
 def test_effective_rank_mixed_fixture():
     rep = spectrum(diag_gram([0.5, 0.25, 0.25]))
-    assert rep.effective_rank_abs == pytest.approx(2.8284271247461903, abs=1e-12)
-    assert rep.cumulative_variance[-1] == pytest.approx(1.0)
+    assert rep["effective_rank_abs"] == pytest.approx(2.8284271247461903, abs=1e-12)
+    assert rep["cumulative_variance"][-1] == pytest.approx(1.0)
 
 
 def test_spectrum_scale_invariance():
     vals = np.array([3.0, 1.5, 0.25, 0.25])
     a = spectrum(diag_gram(vals))
     b = spectrum(diag_gram(vals * 7.5))
-    assert a.effective_rank_abs == pytest.approx(b.effective_rank_abs, abs=1e-12)
+    assert a["effective_rank_abs"] == pytest.approx(b["effective_rank_abs"], abs=1e-12)
 
 
 def test_spectrum_flags_fully_degenerate():
     rep = spectrum(diag_gram(np.zeros(5)))
-    assert rep.degenerate and rep.effective_rank_abs == 0.0
-    assert rep.effective_rank_pct == 0.0
+    assert rep["degenerate"] and rep["effective_rank_abs"] == 0.0
+    assert rep["effective_rank_pct"] == 0.0
 
 
 def test_spectrum_rejects_indefinite_input():
@@ -180,7 +181,7 @@ def test_spectrum_rejects_indefinite_input():
 
 def test_spectrum_floors_roundoff_negatives():
     rep = spectrum(diag_gram([1.0, -1e-12]))
-    assert rep.eigenvalues.min() == 0.0
+    assert rep["eigenvalues"].min() == 0.0
 
 
 # ------------------------------------------------------- full reports
@@ -192,8 +193,8 @@ def test_diversity_report_structure():
     assert rep["H"] == config.H
     assert rep["similarity"].shape == (config.H, config.H)
     assert rep["degenerate_heads"] == ()
-    assert 1.0 <= rep["uncentered"].effective_rank_abs <= config.H + 1e-9
-    assert rep["centered"].effective_rank_abs <= config.H - 1 + 1e-9
+    assert 1.0 <= rep["uncentered"]["effective_rank_abs"] <= config.H + 1e-9
+    assert rep["centered"]["effective_rank_abs"] <= config.H - 1 + 1e-9
 
 
 def test_diversity_report_tolerates_dead_head():
@@ -219,19 +220,19 @@ def test_magnitude_report_values():
     config = cfg()
     w = init_weights(config, RngSpec(seed=10))
     rep = magnitude_report(w, config)
-    assert rep.shared_k == pytest.approx(np.linalg.norm(w.wk_shared))
+    assert rep["shared_k"] == pytest.approx(np.linalg.norm(w.wk_shared))
     for h in range(config.H):
-        assert rep.residual_k[h] == pytest.approx(
+        assert rep["residual_k"][h] == pytest.approx(
             np.linalg.norm(w.uk[h] @ w.bk[h].T))
-        assert -1.0 <= rep.cosine_k[h] <= 1.0
-    assert rep.residual_v.shape == (config.H,)
+        assert -1.0 <= rep["cosine_k"][h] <= 1.0
+    assert rep["residual_v"].shape == (config.H,)
 
 
 def test_magnitude_report_zero_rank_and_mechanism_guard():
     config = cfg(r=0)
     rep = magnitude_report(init_weights(config, RngSpec(seed=0)), config)
-    assert np.array_equal(rep.residual_k, np.zeros(config.H))
-    assert np.array_equal(rep.cosine_k, np.zeros(config.H))
+    assert np.array_equal(rep["residual_k"], np.zeros(config.H))
+    assert np.array_equal(rep["cosine_k"], np.zeros(config.H))
     mha = cfg(Mechanism.MHA)
     with pytest.raises(UnsupportedMechanismError):
         magnitude_report(init_weights(mha, RngSpec(seed=0)), mha)
@@ -272,6 +273,12 @@ def test_svd_truncate_rejects_bad_rank():
     for r in (-1, 5):
         with pytest.raises(ParameterError):
             svd_truncate(W, r)
+
+
+def test_svd_truncate_rejects_a_1d_matrix():
+    with pytest.raises(DimensionError,
+                       match=r"W must be 2-D or a stack of 2-D matrices, got shape \(6,\)"):
+        svd_truncate(np.zeros(6), 1)
 
 
 def test_eckart_young_dominance():
@@ -335,6 +342,10 @@ def test_factorization_gap_validates_reference():
     mqa_ref = init_weights(cfg(Mechanism.MQA, d=64, H=4, d_h=16), RngSpec(seed=0))
     with pytest.raises(ParameterError):
         factorization_gap(w, config, mqa_ref)
+    narrow = cfg(Mechanism.MHA, d=64, H=8, d_h=8)
+    with pytest.raises(ParameterError, match=r"reference K/V stacks have shapes \(8, 64, 8\) "
+                                             r"and \(8, 64, 8\), expected \(4, 64, 16\)"):
+        factorization_gap(w, config, init_weights(narrow, RngSpec(seed=0)))
     with pytest.raises(UnsupportedMechanismError):
         mha = cfg(Mechanism.MHA, d=64, H=4, d_h=16)
         factorization_gap(init_weights(mha, RngSpec(seed=0)), mha,
@@ -366,15 +377,15 @@ def test_magnitude_report_equals_the_per_head_loop(r, dtype):
     rep = magnitude_report(w, config)
     for p, shared, us, bs in (("k", w.wk_shared, w.uk, w.bk), ("v", w.wv_shared, w.uv, w.bv)):
         s = float(np.linalg.norm(shared))
-        assert getattr(rep, f"shared_{p}") == s
+        assert rep[f"shared_{p}"] == s
         for h in range(config.H):
             R = us[h] @ bs[h].T
             res = float(np.linalg.norm(R))
             denom = np.float64(s * res)  # a float64 array element, not a weak Python float
             cos = 0.0 if denom == 0.0 else float(np.clip(np.sum(shared * R) / denom, -1, 1))
-            assert getattr(rep, f"residual_{p}")[h] == res, (p, h)
-            assert getattr(rep, f"total_{p}")[h] == np.linalg.norm(shared + R), (p, h)
-            assert getattr(rep, f"cosine_{p}")[h] == cos, (p, h)
+            assert rep[f"residual_{p}"][h] == res, (p, h)
+            assert rep[f"total_{p}"][h] == np.linalg.norm(shared + R), (p, h)
+            assert rep[f"cosine_{p}"][h] == cos, (p, h)
 
 
 @pytest.mark.parametrize("n", [1, 2, 24])

@@ -7,6 +7,7 @@ from attnlab import (
     Mechanism,
     RngSpec,
     UnsupportedMechanismError,
+    effective_weights,
     gradcheck_rows,
     init_weights,
 )
@@ -79,5 +80,6 @@ def test_stacked_loss_matches_per_head_sum_bitwise(H, r):
     gen = np.random.default_rng(7)
     X = gen.standard_normal((5, config.d))
     cotangents = gen.standard_normal((H, 5, config.d_h))
-    for factors in ((w.wk_shared, w.uk, w.bk), (w.wv_shared, w.uv, w.bv)):
-        assert _loss(X, cotangents, *factors) == _per_head_loss(X, cotangents, *factors)
+    for path, factors in (("k", (w.wk_shared, w.uk, w.bk)), ("v", (w.wv_shared, w.uv, w.bv))):
+        K = X @ effective_weights(w, config, path)
+        assert _loss(K, cotangents) == _per_head_loss(X, cotangents, *factors)

@@ -281,3 +281,34 @@ def test_bench_pairs_runs_the_trace_plan_and_records_each_run(monkeypatch, tmp_p
     assert trace["plan"] == pairs.trace_plan()
     assert [len(trace[side]["runs"]) for side in pairs.SIDES] == [pairs.TRACE_RUNS] * 2
     assert trace["ratio_change_over_parent"] == {"layer_us": 0.5}
+
+
+def test_bench_pairs_leaves_each_finished_workload_behind(monkeypatch, tmp_path):
+    """A plan that fails in its second workload has already written the
+    first one's block, pairs and all, to the BENCH file."""
+    pairs = load_script("bench_pairs")
+
+    def export(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps(dict(BENCH_SPEC, run_seconds=1)))
+        return rev
+
+    def run_bench(tree, workload, seed, seconds, trace):
+        if workload == "lab-instruments":
+            raise RuntimeError("cut short")
+        return {"exit_code": 0, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"verify_s": 1.0}, "env": {"python": "3.11"}}
+
+    monkeypatch.setattr(pairs, "export", export)
+    monkeypatch.setattr(pairs, "run_bench", run_bench)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(RuntimeError, match="cut short"):
+        pairs.main(["a", "b", "--scratch", str(tmp_path / "s"), "--out", str(out),
+                    "--seeds", "1-3", "--claim", "lab-instruments:verify_s:0.9"])
+    left = json.loads(out.read_text())
+    assert list(left["workloads"]) == ["long-prompt"]
+    block = left["workloads"]["long-prompt"]
+    assert block["runs"]["seeds"] == [1, 2, 3, pairs.HELD_OUT_SEED]
+    assert block["metrics"]["verify_s"]["parent_runs"] == [1.0] * 4
+    assert left["environment"] == {"python": "3.11"}
+    assert "claim" not in left  # its workload never finished

@@ -186,12 +186,12 @@ def test_projection_backward_matches_definition():
     gen = np.random.default_rng(0)
     X = gen.standard_normal((5, c.d))
     dK = gen.standard_normal((c.H, 5, c.d_h))
-    g = projection_backward(w, c, X, dK, path="k")
-    assert g.dWshared.shape == (c.d, c.d_h)
-    assert g.dU.shape == (c.H, c.d, c.r) and g.dB.shape == (c.H, c.d_h, c.r)
-    assert np.allclose(g.dWshared, X.T @ dK.sum(axis=0))
-    assert np.allclose(g.dU[1], X.T @ (dK[1] @ w.bk[1]))
-    assert np.allclose(g.dB[1], dK[1].T @ (X @ w.uk[1]))
+    dWshared, dU, dB = projection_backward(w, c, X, dK, path="k")
+    assert dWshared.shape == (c.d, c.d_h)
+    assert dU.shape == (c.H, c.d, c.r) and dB.shape == (c.H, c.d_h, c.r)
+    assert np.allclose(dWshared, X.T @ dK.sum(axis=0))
+    assert np.allclose(dU[1], X.T @ (dK[1] @ w.bk[1]))
+    assert np.allclose(dB[1], dK[1].T @ (X @ w.uk[1]))
 
 
 @pytest.mark.parametrize("path", ["k", "v"])
@@ -206,7 +206,7 @@ def test_projection_backward_matches_per_head_formulas_bitwise(
     dK = gen.standard_normal((H, 6, c.d_h))
     g = projection_backward(w, c, X, dK, path=path)
     dWshared, dU, dB = per_head_projection_grad(w, c, X, dK, path)
-    for got, want in ((g.dWshared, dWshared), (g.dU, dU), (g.dB, dB)):
+    for got, want in zip(g, (dWshared, dU, dB), strict=True):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -222,6 +222,10 @@ def test_projection_backward_rejects_bad_inputs():
             projection_backward(w, c, X, dK, path="k")
     with pytest.raises(DimensionError):
         projection_backward(w, c, X, np.zeros((c.H, 5, c.d_h)), path="q")
+    for bad_X, message in ((X[0], r"X must be 2-D \(T, d\), got shape"),
+                           (X[:, 1:], f"X has width {c.d - 1}, config.d={c.d}")):
+        with pytest.raises(DimensionError, match=message):
+            projection_backward(w, c, bad_X, np.zeros((c.H, 5, c.d_h)), path="k")
     mha = cfg(Mechanism.MHA)
     with pytest.raises(UnsupportedMechanismError):
         projection_backward(init_weights(mha, RngSpec(seed=0)), mha, X,
@@ -238,14 +242,14 @@ ALL_IDS = ["mha", "mqa", "gqa", "mla", "lrkv", "lrkv-r0"]
 @pytest.mark.parametrize("mechanism,kw", ALL_MECHANISMS, ids=ALL_IDS)
 def test_weight_tensors_are_contiguous_and_aligned(mechanism, kw):
     """init_weights and astype allocate every tensor C-contiguous and starting
-    on an ALIGNMENT-byte boundary (a tensor with no elements has no data)."""
+    on an ALIGNMENT-byte boundary, a tensor with no elements included."""
     c = cfg(mechanism, **kw)
     w = init_weights(c, RngSpec(seed=3))
     for ws in (w, w.astype(np.float32), w.astype(np.float64)):
         for field in tensor_shapes(c):
             t = getattr(ws, field)
             assert t.flags.c_contiguous, field
-            assert t.size == 0 or t.ctypes.data % ALIGNMENT == 0, field
+            assert t.ctypes.data % ALIGNMENT == 0, field
     assert w.astype(np.float64).wq is not w.wq  # astype still copies
 
 
