@@ -100,37 +100,30 @@ def _load_config_json(path: str) -> AttentionConfig:
     return AttentionConfig.from_json_dict(obj)
 
 
-def _json_config(args) -> AttentionConfig | None:
-    """The --config-json config, or None without one. The JSON is the whole
-    config, so --preset, --mechanism and --rank beside it are rejected."""
-    if not getattr(args, "config_json", None):
-        return None
-    mixed = [f"--{name}" for name in ("preset", "mechanism", "rank")
-             if getattr(args, name, None) is not None]
-    if mixed:
-        raise ConfigurationError(f"--config-json excludes {', '.join(mixed)}")
-    return _load_config_json(args.config_json)
+def _configs(args, mechanisms) -> list[tuple]:
+    """The (preset, config) pairs a command runs, with --set applied.
 
-
-def _preset_name(args) -> str:
-    """--preset's value; called when there is no --config-json, so a missing
-    --preset means neither config source was given (a usage error)."""
-    if not getattr(args, "preset", None):
+    --config-json gives one pair, (None, its config); the JSON is the whole
+    config, so --preset, --mechanism and --rank beside it are rejected.
+    Otherwise each of ``mechanisms`` gives one pair at --preset and --rank.
+    """
+    if getattr(args, "config_json", None):
+        mixed = [f"--{name}" for name in ("preset", "mechanism", "rank")
+                 if getattr(args, name, None) is not None]
+        if mixed:
+            raise ConfigurationError(f"--config-json excludes {', '.join(mixed)}")
+        pairs = [(None, _load_config_json(args.config_json))]
+    elif getattr(args, "preset", None):
+        preset = get_preset(args.preset)
+        pairs = [(preset, config_for(preset, m, rank=getattr(args, "rank", None)))
+                 for m in mechanisms]
+    else:
         raise ConfigurationError("provide --preset or --config-json")
-    return args.preset
-
-
-def _resolve_config(args) -> AttentionConfig:
-    """Config from --config-json or --preset + --mechanism, plus --set."""
-    config = _json_config(args)
-    if config is None:
-        config = config_for(_preset_name(args), args.mechanism or Mechanism.LRKV,
-                            rank=getattr(args, "rank", None))
-    return _apply_overrides(config, getattr(args, "set", None))
+    return [(preset, _apply_overrides(config, args.set)) for preset, config in pairs]
 
 
 def _cmd_gen_weights(args) -> int:
-    config = _resolve_config(args)
+    ((_, config),) = _configs(args, [args.mechanism or Mechanism.LRKV])
     # An unwritable --out fails here, before the draw; append mode creates
     # the file without truncating one that is already there.
     open(args.out, "a").close()
@@ -142,7 +135,7 @@ def _cmd_gen_weights(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _resolve_config(args)
+    ((_, config),) = _configs(args, [args.mechanism or Mechanism.LRKV])
     dtype = np.float64 if args.dtype == "f64" else np.float32
     rows = equivalence_report(
         config, RngSpec(seed=args.seed), T=args.tokens, trials=args.trials,
@@ -175,15 +168,8 @@ def _memory_row(config, preset, args) -> dict:
 
 
 def _cmd_memory(args) -> int:
-    config = _json_config(args)
-    if config is not None:
-        rows = [_memory_row(_apply_overrides(config, args.set), None, args)]
-    else:
-        preset = get_preset(_preset_name(args))
-        rows = []
-        for mech in MECHANISM_ORDER:
-            config = _apply_overrides(config_for(preset, mech, rank=args.rank), args.set)
-            rows.append(_memory_row(config, preset, args))
+    rows = [_memory_row(config, preset, args)
+            for preset, config in _configs(args, MECHANISM_ORDER)]
     _write_csv(args.out, {"mechanism": "{}", "cache_bytes": "{}", "cache_mib": "{:.1f}",
                           "ratio_vs_mha": "{:.3f}", "ratio_formula": "{:.3f}",
                           "kv_param_count": "{}"}, rows)
@@ -191,12 +177,11 @@ def _cmd_memory(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    preset = get_preset(args.preset)
     rows = []
     # Grouped K/V (MHA, MQA, GQA) is costed along its explicit path.
     paths = {Mechanism.MLA: ("reconstruct", "factored"), Mechanism.LRKV: ("factored",)}
-    for mech in MECHANISM_ORDER:
-        config = _apply_overrides(config_for(preset, mech, rank=args.rank), args.set)
+    for _, config in _configs(args, MECHANISM_ORDER):
+        mech = config.mechanism
         q = CostQuery(config=config, T=args.tokens, batch=1,
                       bytes_per_element=2)
         for path in paths.get(mech, ("explicit",)):
@@ -213,13 +198,12 @@ def _cmd_flops(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    preset = get_preset(args.preset)
     try:
         ranks = [int(x) for x in args.ranks.split(",") if x != ""]
     except ValueError:
         raise ConfigurationError(
             f"--ranks expects comma-separated integers, got {args.ranks!r}") from None
-    base = _apply_overrides(config_for(preset, Mechanism.LRKV), args.set)
+    ((_, base),) = _configs(args, [Mechanism.LRKV])
     _write_csv(args.out, {"r": "{}", "cache_ratio": "{:.6f}", "cache_pct": "{:.3f}",
                           "cache_bytes": "{}", "kv_param_count": "{}", "decode_flops": "{}",
                           "flops_overhead_vs_mha": "{:.6f}"},
@@ -268,7 +252,7 @@ def _cmd_svd_compare(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    config = _apply_overrides(_load_config_json(args.config_json), args.set)
+    ((_, config),) = _configs(args, [])
     rows = gradcheck_rows(config, RngSpec(seed=args.seed),
                           instances=args.instances)
     _write_csv(args.out, {"instance": "{}", "path": "{}", "target": "{}",

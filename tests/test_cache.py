@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -238,13 +239,12 @@ def test_token_whose_rows_overflow_is_rejected(mechanism, kw):
     hit = prefill(w, config, X[:3], capacity=5)
     clean = prefill(w, config, X[:3], capacity=5)
     before = stream_bytes(hit)
-    with np.errstate(over="ignore", invalid="ignore"):  # numpy warns, then we raise
-        with pytest.raises(NumericalError):
-            append_token(hit, w, config, huge)
-        with pytest.raises(NumericalError):
-            decode_explicit(hit, w, config, huge)
-        with pytest.raises(NumericalError):
-            prefill(w, config, np.vstack([X[:2], huge]))
+    with pytest.raises(NumericalError):
+        append_token(hit, w, config, huge)
+    with pytest.raises(NumericalError):
+        decode_explicit(hit, w, config, huge)
+    with pytest.raises(NumericalError):
+        prefill(w, config, np.vstack([X[:2], huge]))
     assert hit.length == 3
     assert stream_bytes(hit) == before
     got = decode_explicit(hit, w, config, X[3])
@@ -256,13 +256,33 @@ def test_token_whose_rows_overflow_is_rejected(mechanism, kw):
     big = np.full(config.d, 1e39)
     c32 = prefill(w, config, X[:3], capacity=5, dtype=np.float32)
     before32 = stream_bytes(c32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError):
-            append_token(c32, w, config, big)
+    with pytest.raises(NumericalError):
+        append_token(c32, w, config, big)
     assert c32.length == 3
     assert stream_bytes(c32) == before32
     append_token(clean, w, config, big)  # positive control: fits float64
     assert clean.length == 5
+
+
+def test_accepted_rows_whose_screen_sum_overflows_warn_nothing():
+    """Finite rows whose screening sum passes the float64 maximum are
+    accepted with no RuntimeWarning, and a step whose logits then overflow
+    raises NumericalError, not a warning turned error."""
+    config = AttentionConfig(mechanism=Mechanism.MHA, d=32, H=2, d_h=16)
+    w = init_weights(config, RngSpec(seed=38))
+    w = dataclasses.replace(w, wk=np.abs(w.wk), wv=np.abs(w.wv))
+    X = np.abs(np.random.default_rng(39).standard_normal((3, config.d))) * 1e306
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache = prefill(w, config, X[:2], capacity=3)
+        assert cache.length == 2
+        assert all(np.isfinite(buf).all() for buf in cache.streams.values())
+        # Summed as Python floats: the rows' total is past the float64 maximum.
+        assert sum(sum(buf.ravel().tolist()) for buf in cache.streams.values()) == math.inf
+        with pytest.raises(NumericalError):
+            decode_explicit(cache, w, config, X[2])
+        append_token(cache, w, config, X[2])
+    assert cache.length == 3
 
 
 def test_prefill_capacity_and_empty_prompt():
@@ -306,9 +326,8 @@ def test_decode_raises_on_nonfinite_input():
     cache = empty_cache(config, capacity=4)
     x = np.zeros(config.d)
     x[0] = np.inf
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(NumericalError):
-            decode_explicit(cache, w, config, x)
+    with pytest.raises(NumericalError):
+        decode_explicit(cache, w, config, x)
 
 
 @pytest.mark.parametrize("mechanism,kw,decode", [
@@ -326,9 +345,8 @@ def test_failed_step_leaves_cache_usable(mechanism, kw, decode):
     X = np.random.default_rng(13).standard_normal((5, config.d))
     hit = prefill(w, config, X[:4], capacity=6)
     clean = prefill(w, config, X[:4], capacity=6)
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(NumericalError):
-            decode(hit, w, config, np.full(config.d, np.nan))
+    with pytest.raises(NumericalError):
+        decode(hit, w, config, np.full(config.d, np.nan))
     assert hit.length == 4
     got = decode(hit, w, config, X[4])
     want = decode(clean, w, config, X[4])
@@ -347,9 +365,8 @@ def test_failed_step_restores_the_cache_bytes(decode):
     cache = prefill(w, config, X[:3], capacity=6)
     before = stream_bytes(cache)
     loud = dataclasses.replace(w, wq=np.full_like(w.wq, 1e308))  # K/V rows stay finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError):
-            decode(cache, loud, config, X[3])
+    with pytest.raises(NumericalError):
+        decode(cache, loud, config, X[3])
     assert cache.length == 3
     assert stream_bytes(cache) == before
 
@@ -368,13 +385,12 @@ def test_failed_growing_step_puts_the_old_buffers_back(step):
     buffers = dict(cache.streams)
     before = stream_bytes(cache)
     loud = dataclasses.replace(w, wq=np.full_like(w.wq, 1e308))  # K/V rows stay finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError):
-            if step == "append":
-                append_token(cache, w, config, np.full(config.d, 1e308))
-            else:
-                decode = decode_explicit if step == "explicit" else decode_factored
-                decode(cache, loud, config, X[4])
+    with pytest.raises(NumericalError):
+        if step == "append":
+            append_token(cache, w, config, np.full(config.d, 1e308))
+        else:
+            decode = decode_explicit if step == "explicit" else decode_factored
+            decode(cache, loud, config, X[4])
     assert cache.length == 4
     assert stream_bytes(cache) == before
     assert all(cache.streams[name] is buf for name, buf in buffers.items())
@@ -400,9 +416,8 @@ def test_buffers_start_aligned_after_prefill_growth_and_rollback(mechanism, kw):
     assert held_rows(cache) == 7
     assert_aligned(cache)
     rolled_back = prefill(w, config, X[:4], capacity=7)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError):
-            decode_explicit(rolled_back, w, config, np.full(config.d, 1e308))
+    with pytest.raises(NumericalError):
+        decode_explicit(rolled_back, w, config, np.full(config.d, 1e308))
     assert held_rows(rolled_back) == 4
     assert_aligned(rolled_back)
 
@@ -536,8 +551,7 @@ def test_nonfinite_append_writes_nothing(mechanism, kw):
             append_token(cache, w, config, x)
         assert cache.length == 3
         assert stream_bytes(cache) == before
-    with np.errstate(over="ignore"):  # finite, though its squared norm overflows
-        append_token(cache, w, config, np.full(config.d, 1e160))
+    append_token(cache, w, config, np.full(config.d, 1e160))
     assert cache.length == 4
 
 
@@ -815,8 +829,7 @@ class CacheMachine(RuleBasedStateMachine):
             x[seed % self.config.d] = poison
         before = stream_bytes(self.cache), self.cache.length
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # numpy warns, then we raise
-                op(self.cache, self.w, self.config, x)
+            op(self.cache, self.w, self.config, x)
         except (NumericalError, CapacityError):
             assert (stream_bytes(self.cache), self.cache.length) == before
         else:
@@ -845,8 +858,7 @@ class CacheMachine(RuleBasedStateMachine):
     @invariant()
     def equals_a_prefill_of_the_accepted_tokens(self):
         X = np.array(self.accepted).reshape(-1, self.config.d)
-        with np.errstate(over="ignore"):  # finite rows whose screening sum overflows
-            want = prefill(self.w, self.config, X, self.capacity, dtype=self.dtype)
+        want = prefill(self.w, self.config, X, self.capacity, dtype=self.dtype)
         assert (self.cache.capacity, self.cache.length) == (self.capacity, len(X))
         assert stream_bytes(self.cache) == stream_bytes(want)
         assert_aligned(self.cache)

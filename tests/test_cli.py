@@ -385,6 +385,31 @@ def test_set_overrides_reach_the_config(tmp_path):
     assert int(mha["cache_bytes"]) == 2 * 1 * 1 * 6 * 128 * 8
 
 
+SET_CASES = [
+    (["gen-weights", "--preset", "128M"], ["--set", "n_layers=1"]),
+    (["gen-weights", "--config-json", "CONFIG"], ["--set", "n_layers=3"]),
+    (["verify", "--preset", "128M", "--tokens", "2", "--trials", "1"], ["--set", "r=8"]),
+    (["verify", "--config-json", "CONFIG", "--tokens", "2", "--trials", "1"], ["--set", "r=2"]),
+    (["memory", "--preset", "128M"], ["--set", "n_layers=1"]),
+    (["memory", "--config-json", "CONFIG"], ["--set", "n_layers=3"]),
+    (["flops", "--preset", "128M"], ["--set", "G=2"]),
+    (["ablate", "--preset", "128M"], ["--set", "n_layers=1"]),
+    (["gradcheck", "--config-json", "CONFIG", "--instances", "1"], ["--set", "r=2"]),
+]
+
+
+@pytest.mark.parametrize("argv, override", SET_CASES,
+                         ids=[f"{argv[0]} {argv[1]}" for argv, _ in SET_CASES])
+def test_set_reaches_every_command_config(tmp_path, argv, override):
+    """Every command that takes --set, from each config source it accepts,
+    runs the overridden config: its output differs from the plain run's."""
+    argv = [write_config(tmp_path, LRKV_SMALL) if a == "CONFIG" else a for a in argv]
+    plain, overridden = tmp_path / "plain", tmp_path / "overridden"
+    assert run_cli([*argv, "--out", str(plain)]) == 0
+    assert run_cli([*argv, *override, "--out", str(overridden)]) == 0
+    assert overridden.read_bytes() != plain.read_bytes()
+
+
 def test_error_exit_codes(tmp_path, capsys):
     # unknown preset: configuration problem
     assert run_cli(["memory", "--preset", "70B"]) == 2
