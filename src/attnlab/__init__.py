@@ -52,7 +52,6 @@ from .errors import (
     NumericalError,
     ParameterError,
     UnsupportedMechanismError,
-    UnsupportedModeError,
 )
 from .gradcheck import gradcheck_rows
 from .jacobi import jacobi_eigh
@@ -83,7 +82,7 @@ __all__ = [
     "read_archive", "write_archive",
     "gradcheck_rows",
     "LabError", "ConfigurationError", "DimensionError", "NumericalError",
-    "CapacityError", "UnsupportedModeError", "UnsupportedMechanismError",
+    "CapacityError", "UnsupportedMechanismError",
     "ParameterError", "ArchiveError",
 ]
 

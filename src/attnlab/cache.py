@@ -28,20 +28,21 @@ full K/V over the cached prefix and runs ordinary attention — the reference
 semantics. It expands the cached rows with ``effective_weights``, K and V
 one call each, the expansion that also gives the K/V weights: a stream's rows
 are X times its weight, so their expansion is X times the expanded weight.
-``decode_factored`` (low-rank and latent mechanisms only) gets identical
-logits and outputs without ever forming a (T, d_h) per-head matrix, by
-pushing the query and the attention weights through the small factors
-instead. The two paths are algebraically equal; floating point leaves
-differences at the 1e-9 level (float64) for prefixes up to 4096.
+``decode_factored`` (low-rank and latent mechanisms, qk_norm off) gets
+identical logits and outputs without ever forming a (T, d_h) per-head
+matrix, by pushing the query and the attention weights through the small
+factors instead. The two paths are algebraically equal; floating point
+leaves differences at the 1e-9 level (float64) for prefixes up to 4096.
 
-Both paths batch the heads: the step's queries are one (H, d_h) block, and
-each cached stream (a K/V group, the shared K/V, Z, the stacked latents) is
-read by one matmul per step for all the heads that use it. Keys shared by
-at most ``GEMV_ROWS`` query heads are the exception: ``_scores`` reads
-them once per query head, one gemv each and all in one numpy call, the
-first read from memory and the repeats from L2, which on cold rows beats
-one GEMM over that few query rows. The heads' softmaxes are one
-``softmax_row`` over (H, t) logits.
+Both paths share one step frame, ``_step``; a kernel per path says how the
+step scores and mixes. Both batch the heads: the step's queries are one
+(H, d_h) block, and each cached stream (a K/V group, the shared K/V, Z, the
+stacked latents) is read by one matmul per step for all the heads that use
+it. Keys shared by at most ``GEMV_ROWS`` query heads are the exception:
+``_scores`` reads them once per query head, one gemv each and all in one
+numpy call, the first read from memory and the repeats from L2, which on
+cold rows beats one GEMM over that few query rows. The heads' softmaxes are
+one ``softmax_row`` over (H, t) logits.
 
 Held rows past ``length`` are zero, as in a fresh cache. A decode step
 that raises (say, on logits that overflow) sets the cache back: ``length``
@@ -92,7 +93,7 @@ from .errors import (
     ConfigurationError,
     DimensionError,
     NumericalError,
-    UnsupportedModeError,
+    UnsupportedMechanismError,
 )
 from .weights import (
     WeightSet,
@@ -104,7 +105,7 @@ from .weights import (
 
 _MASK64 = (1 << 64) - 1
 
-# The mechanisms with a factored decode path.
+# The mechanisms with a factored decode step, with qk_norm off (``has_factored_step``).
 FACTORED = (Mechanism.LRKV, Mechanism.MLA)
 
 # The weights that project a token into a cached stream; the alloc-hook tag
@@ -313,24 +314,6 @@ def prefill(
     return _append_rows(cache, w, X)
 
 
-def _finalize(logits: np.ndarray, out: np.ndarray) -> DecodeStepOutput:
-    """Check a step's (H, t) logits and (H, d_h) outputs; outputs take the
-    logits' dtype, which is the cache's."""
-    # The same screen as for tokens: sums of squares are finite unless an
-    # entry is non-finite or a square overflows.
-    if not math.isfinite(np.vdot(logits, logits) + np.vdot(out, out)) and not (
-        np.isfinite(logits).all() and np.isfinite(out).all()
-    ):
-        raise NumericalError("decode produced non-finite logits or outputs")
-    return DecodeStepOutput(logits=logits, out=out.astype(logits.dtype, copy=False))
-
-
-def _scaled(scores: np.ndarray, config: AttentionConfig, cache: DecodeCache) -> np.ndarray:
-    """Scaled (H, t) logits in the cache's dtype, which the softmax then keeps."""
-    scores *= config.softmax_scale  # a fresh array: scaled in place
-    return scores.astype(cache.dtype, copy=False)
-
-
 def _rowwise(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Row h of ``rows`` times matrix h of ``stack``: (H, m) x (H, m, n) -> (H, n)."""
     return (rows[:, None, :] @ stack)[:, 0]
@@ -348,7 +331,74 @@ def _scores(Q: np.ndarray, K: np.ndarray) -> np.ndarray:
     return Q @ K.transpose(0, 2, 1)
 
 
+def has_factored_step(config: AttentionConfig) -> bool:
+    """Whether ``decode_factored`` is defined for ``config``: lrkv or mla,
+    with qk_norm off (row normalization does not commute with the factors)."""
+    return config.mechanism in FACTORED and not config.qk_norm
+
+
 @np.errstate(over="ignore", invalid="ignore")
+def _step(kernel, cache, w, config, x) -> DecodeStepOutput:
+    """Append x and run one step scored and mixed by ``kernel``, which maps
+    (cache, w, config, Q, t) to fresh (H, t) scores and a function from the
+    (H, t) weights to the (H, d_h) outputs. The logits and outputs take the
+    cache's dtype; a step that raises takes its row back."""
+    held = cache.streams
+    append_token(cache, w, config, x)
+    t = cache.length
+    try:
+        Q = _note("decode.query", x @ w.wq)
+        scores, mix = kernel(cache, w, config, Q, t)
+        scores *= config.softmax_scale
+        logits = _note("decode.scores", scores.astype(cache.dtype, copy=False))
+        A = _note("decode.weights", softmax_row(logits))
+        out = _note("decode.out", mix(A))
+        # The same screen as for tokens: sums of squares are finite unless an
+        # entry is non-finite or a square overflows.
+        if not math.isfinite(np.vdot(logits, logits) + np.vdot(out, out)) and not (
+            np.isfinite(logits).all() and np.isfinite(out).all()
+        ):
+            raise NumericalError("decode produced non-finite logits or outputs")
+        return DecodeStepOutput(logits=logits, out=out.astype(logits.dtype, copy=False))
+    except BaseException:
+        _truncate(cache, held, t - 1)
+        raise
+
+
+def _explicit(cache, w, config, Q, t):
+    H, d_h = config.H, config.d_h
+    K, V = (effective_weights(w, config, path, lambda name: cache.streams[name][..., :t, :])
+            for path in "kv")
+    if K.base is None:  # reconstructed, not views of the cache: MLA, LRKV at r > 0
+        K, V = _note("explicit.k_head", K), _note("explicit.v_head", V)
+    n = K.shape[0]
+    if config.qk_norm:
+        Q = _note("explicit.q_norm", rmsnorm(Q))
+        K = _note("explicit.k_norm", rmsnorm(K))
+    scores = _scores(Q.reshape(n, H // n, d_h), K).reshape(H, t)
+    return scores, lambda A: (A.reshape(n, H // n, t) @ V).reshape(H, d_h)
+
+
+def _latent(cache, w, config, Q, t):
+    Z = cache.streams["wdown"][:t]
+    q_lat = _note("factored.latent_query", _rowwise(Q, w.wup_k.transpose(0, 2, 1)))
+    return q_lat @ Z.T, lambda A: _rowwise(_note("factored.latent_mix", A @ Z), w.wup_v)
+
+
+def _low_rank(cache, w, config, Q, t):
+    s = cache.streams
+    base = _note("factored.shared_scores", _scores(Q[None], s["wk_shared"][None, :t])[0])
+    qb = _note("factored.k_latent_query", _rowwise(Q, w.bk))
+    corr = _note("factored.score_correction", (s["uk"][:, :t] @ qb[:, :, None])[:, :, 0])
+
+    def mix(A):
+        base_out = _note("factored.shared_out", A @ s["wv_shared"][:t])
+        av = _note("factored.v_latent_mix", _rowwise(A, s["uv"][:, :t]))
+        return base_out + _rowwise(av, w.bv.transpose(0, 2, 1))
+
+    return base + corr, mix
+
+
 def decode_explicit(
     cache: DecodeCache, w: WeightSet, config: AttentionConfig, x: np.ndarray
 ) -> DecodeStepOutput:
@@ -361,32 +411,9 @@ def decode_explicit(
     Heads sharing a K/V head are one (H/n, d_h) query block against it;
     ``gqa_group`` gives each K/V head a contiguous block of heads.
     """
-    held = cache.streams
-    append_token(cache, w, config, x)
-    t = cache.length
-    try:
-        H, d_h = config.H, config.d_h
-        K, V = (effective_weights(w, config, path,
-                                  lambda name: cache.streams[name][..., :t, :])
-                for path in "kv")
-        if K.base is None:  # reconstructed, not views of the cache: MLA, LRKV at r > 0
-            K, V = _note("explicit.k_head", K), _note("explicit.v_head", V)
-        n = K.shape[0]
-        Q = _note("decode.query", x @ w.wq)
-        if config.qk_norm:
-            Q = _note("explicit.q_norm", rmsnorm(Q))
-            K = _note("explicit.k_norm", rmsnorm(K))
-        scores = _scores(Q.reshape(n, H // n, d_h), K).reshape(H, t)
-        logits = _note("decode.scores", _scaled(scores, config, cache))
-        A = _note("decode.weights", softmax_row(logits))
-        out = _note("decode.out", (A.reshape(n, H // n, t) @ V).reshape(H, d_h))
-        return _finalize(logits, out)
-    except BaseException:
-        _truncate(cache, held, t - 1)  # a failed step takes its row back (see module docstring)
-        raise
+    return _step(_explicit, cache, w, config, x)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def decode_factored(
     cache: DecodeCache, w: WeightSet, config: AttentionConfig, x: np.ndarray
 ) -> DecodeStepOutput:
@@ -404,45 +431,17 @@ def decode_factored(
         logits_h = scale * ((q_h WupK_h^T) Z^T)
         out_h    = (a_h Z) WupV_h
 
-    Both are exact rewrites of the explicit path. Only defined with
-    qk_norm off (row normalization does not commute with the factors).
+    Both are exact rewrites of the explicit path, defined where
+    ``has_factored_step`` holds (elsewhere: ``UnsupportedMechanismError``).
     Each line runs for all heads at once: the (H, d_h) query block reads
     V_shared or Z once per step, and K_shared through ``_scores``, as the
     explicit path reads a K/V head.
     """
-    require_mechanism(config, "decode_factored", *FACTORED)
-    if config.qk_norm:
-        raise UnsupportedModeError("decode_factored is undefined with qk_norm on")
-    held = cache.streams
-    append_token(cache, w, config, x)
-    t = cache.length
-    try:
-        Q = _note("decode.query", x @ w.wq)
-
-        if config.mechanism is Mechanism.MLA:
-            Z = cache.streams["wdown"][:t]
-            q_lat = _note("factored.latent_query",
-                          _rowwise(Q, w.wup_k.transpose(0, 2, 1)))
-            logits = _note("decode.scores", _scaled(q_lat @ Z.T, config, cache))
-            A = _note("decode.weights", softmax_row(logits))
-            az = _note("factored.latent_mix", A @ Z)
-            out = _note("decode.out", _rowwise(az, w.wup_v))
-            return _finalize(logits, out)
-
-        base = _note("factored.shared_scores",
-                     _scores(Q[None], cache.streams["wk_shared"][None, :t])[0])
-        qb = _note("factored.k_latent_query", _rowwise(Q, w.bk))
-        corr = _note("factored.score_correction",
-                     (cache.streams["uk"][:, :t] @ qb[:, :, None])[:, :, 0])
-        logits = _note("decode.scores", _scaled(base + corr, config, cache))
-        A = _note("decode.weights", softmax_row(logits))
-        base_out = _note("factored.shared_out", A @ cache.streams["wv_shared"][:t])
-        av = _note("factored.v_latent_mix", _rowwise(A, cache.streams["uv"][:, :t]))
-        out = _note("decode.out", base_out + _rowwise(av, w.bv.transpose(0, 2, 1)))
-        return _finalize(logits, out)
-    except BaseException:
-        _truncate(cache, held, t - 1)
-        raise
+    if not has_factored_step(config):
+        require_mechanism(config, "decode_factored", *FACTORED)
+        raise UnsupportedMechanismError("decode_factored is undefined with qk_norm on")
+    return _step(_latent if config.mechanism is Mechanism.MLA else _low_rank,
+                 cache, w, config, x)
 
 
 def equivalence_report(
@@ -458,7 +457,8 @@ def equivalence_report(
     ``seed``), decodes T tokens step by step, and records the maximum
     absolute logit/output discrepancy between the explicit and factored
     paths, plus the total transient elements each path touched (as counted
-    by the allocation hook). Mechanisms without a factored path get
+    by the allocation hook). Configs without a factored step (mha, mqa,
+    gqa, and lrkv or mla with qk_norm on; see ``has_factored_step``) get
     explicit-only rows with the factored columns set to None.
 
     Returns one dict per trial, ready for CSV emission.
@@ -466,7 +466,7 @@ def equivalence_report(
     T, trials = require_int("T", T, 1), require_int("trials", trials, 1)
     # Built per call from the module's names, so wrappers installed on
     # them (as the benchmark's tracer does) see every step.
-    paths = (decode_explicit, decode_factored)[:1 + (config.mechanism in FACTORED)]
+    paths = (decode_explicit, decode_factored)[:1 + has_factored_step(config)]
     factored = len(paths) > 1
     rows: list[dict] = []
     shapes: list[tuple] = []

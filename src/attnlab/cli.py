@@ -20,9 +20,9 @@ decimals regardless of locale.
 Memory-table ratio columns: ``ratio_vs_mha`` is the byte ratio of the row's
 actual configuration against the full-cache baseline under the same query.
 ``ratio_formula`` is the closed-form ratio at the scale's deployed residual
-rank (``table_rank``), the number quoted alongside measured tables; it is
+rank (``table_rank``), the number quoted alongside measured tables. It is
 left empty for the latent mechanism, whose ratio depends on the stream-
-accounting convention rather than the config alone.
+accounting convention, and for a low-rank config narrower than that rank.
 """
 
 from __future__ import annotations
@@ -156,11 +156,11 @@ def _memory_row(config, preset, args) -> dict:
                   bytes_per_element=args.bytes,
                   mla_latent_streams=args.mla_streams)
     rep = cost_report(q)
-    if config.mechanism is Mechanism.MLA:
-        formula = None
-    elif config.mechanism is Mechanism.LRKV and preset is not None:
-        formula = cache_ratio(replace(config, r=preset.table_rank))
-    else:
+    formula = None
+    if config.mechanism is Mechanism.LRKV and preset is not None:
+        if preset.table_rank <= config.d:  # r's bound: a narrower config leaves it empty
+            formula = cache_ratio(replace(config, r=preset.table_rank))
+    elif config.mechanism is not Mechanism.MLA:
         formula = cache_ratio(config)
     return {"mechanism": config.mechanism.value, "cache_bytes": rep["cache_bytes"],
             "cache_mib": rep["cache_bytes"] / MIB, "ratio_vs_mha": rep["cache_ratio_vs_mha"],
@@ -334,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", default="8,16,32,64,128")
     p.add_argument("--tokens", type=int, default=2048)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_ablate)
+    # Each row sets its own r, so the base is built at r = 0, which every width admits.
+    p.set_defaults(func=_cmd_ablate, rank=0)
 
     p = sub.add_parser("diversity", help="head-similarity analytics from an archive")
     p.add_argument("--weights", required=True)

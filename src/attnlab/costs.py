@@ -22,6 +22,7 @@ and echoed in CLI output:
       lifts) against the full-cache baseline's scan; new-token projections
       and softmax are excluded. For the low-rank mechanism this overhead is
       r/d_h + r/T, which converges to r/d_h for long prefixes.
+    - The forms price qk_norm off: on a qk_norm config the norms go unpriced.
 
 The number of latent streams the latent mechanism caches (one shared or
 separate K and V streams) is an accounting knob of ``CostQuery``; two

@@ -163,9 +163,9 @@ def _magnitude_path(shared, us, bs):
     residual = _frobenius(R)
     total = _frobenius(shared + R)
     denom = shared_norm * residual
-    cosine = np.divide(np.sum(shared * R, axis=(1, 2)), denom,
-                       out=np.zeros(len(R)), where=denom != 0.0)
-    return shared_norm, residual, total, np.clip(cosine, -1.0, 1.0)
+    alignment = np.divide(np.sum(shared * R, axis=(1, 2)), denom,
+                          out=np.zeros(len(R)), where=denom != 0.0)
+    return shared_norm, residual, total, np.clip(alignment, -1.0, 1.0)
 
 
 def magnitude_report(w: WeightSet, config: AttentionConfig) -> dict:

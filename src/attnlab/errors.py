@@ -26,12 +26,9 @@ class CapacityError(LabError):
     """A decode cache is full and cannot accept another token."""
 
 
-class UnsupportedModeError(LabError):
-    """The requested operation does not support the configured mode."""
-
-
 class UnsupportedMechanismError(LabError):
-    """The requested operation is undefined for this attention mechanism."""
+    """The requested operation is undefined for this attention mechanism, or
+    for its qk_norm setting (the factored decode step needs qk_norm off)."""
 
 
 class ParameterError(LabError):

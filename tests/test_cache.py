@@ -19,7 +19,6 @@ from attnlab import (
     NumericalError,
     RngSpec,
     UnsupportedMechanismError,
-    UnsupportedModeError,
     WeightSet,
     append_token,
     decode_explicit,
@@ -315,9 +314,30 @@ def test_decode_factored_rejections_leave_cache_untouched():
     normed = cfg(Mechanism.LRKV, r=5, qk_norm=True)
     wn = init_weights(normed, RngSpec(seed=0))
     cache_n = empty_cache(normed, capacity=4)
-    with pytest.raises(UnsupportedModeError):
+    with pytest.raises(UnsupportedMechanismError):
         decode_factored(cache_n, wn, normed, np.zeros(normed.d))
     assert cache_n.length == 0
+
+
+@pytest.mark.parametrize("mechanism,kw", [
+    (Mechanism.MHA, {}),
+    (Mechanism.LRKV, {"r": 5, "qk_norm": True}),
+    (Mechanism.MLA, {"d_c": 10, "qk_norm": True}),
+], ids=["mha", "lrkv-qk_norm", "mla-qk_norm"])
+def test_configs_without_a_factored_step_are_rejected_untouched(mechanism, kw):
+    """mha, and lrkv and mla with qk_norm on, have no factored step: it raises
+    UnsupportedMechanismError and leaves a prefilled cache's bytes, buffer
+    shapes and length as they were; the explicit step still runs."""
+    config = cfg(mechanism, **kw)
+    w = init_weights(config, RngSpec(seed=40))
+    X = np.random.default_rng(41).standard_normal((4, config.d))
+    cache = prefill(w, config, X[:3], capacity=4)
+    before = stream_bytes(cache), cache.length
+    with pytest.raises(UnsupportedMechanismError):
+        decode_factored(cache, w, config, X[3])
+    assert (stream_bytes(cache), cache.length) == before
+    decode_explicit(cache, w, config, X[3])
+    assert cache.length == 4
 
 
 def test_decode_raises_on_nonfinite_input():
@@ -591,27 +611,22 @@ def _assert_small_transients(events, config, t, allowed):
             assert shape[1] in allowed, (tag, shape)
 
 
-def test_factored_transients_are_small_vectors(log):
-    """The factored decode path must never build a (t, d_h) matrix."""
-    config = cfg(Mechanism.LRKV, r=5)
-    w = init_weights(config, RngSpec(seed=3))
-    X = np.random.default_rng(4).standard_normal((10, config.d))
-    cache = prefill(w, config, X[:9], capacity=10)
+@pytest.mark.parametrize("mechanism,kw,seed,T", [
+    (Mechanism.LRKV, {"r": 5}, 3, 10),
+    (Mechanism.MLA, {"d_c": 10}, 5, 8),
+], ids=["lrkv", "mla"])
+def test_factored_transients_are_small_vectors(log, mechanism, kw, seed, T):
+    """The factored decode path must never build a (t, d_h) matrix: its
+    transients are (H, k) with k in {t, d_h} and the factor width (r or d_c)."""
+    config = cfg(mechanism, **kw)
+    w = init_weights(config, RngSpec(seed=seed))
+    X = np.random.default_rng(seed + 1).standard_normal((T, config.d))
+    cache = prefill(w, config, X[:-1], capacity=T)
     log.drain()
-    decode_factored(cache, w, config, X[9])
+    decode_factored(cache, w, config, X[-1])
     t = cache.length
-    _assert_small_transients(log.drain(), config, t, {t, config.r, config.d_h})
-
-
-def test_factored_mla_transients_are_small_vectors(log):
-    config = cfg(Mechanism.MLA, d_c=10)
-    w = init_weights(config, RngSpec(seed=5))
-    X = np.random.default_rng(6).standard_normal((8, config.d))
-    cache = prefill(w, config, X[:7], capacity=8)
-    log.drain()
-    decode_factored(cache, w, config, X[7])
-    t = cache.length
-    _assert_small_transients(log.drain(), config, t, {t, config.d_c, config.d_h})
+    width = config.d_c if mechanism is Mechanism.MLA else config.r
+    _assert_small_transients(log.drain(), config, t, {t, width, config.d_h})
 
 
 def test_explicit_path_visibly_materializes_per_head(log):

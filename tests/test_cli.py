@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -247,6 +248,85 @@ def test_csv_bytes_are_pinned(tmp_path, capsys, command):
                                                              r=0), "lrkv0.json")}
     assert run_cli([a.format(**paths) for a in argv] + ["--out", "-"]) == 0
     assert capsys.readouterr().out == text.replace("\n", "\r\n")
+
+
+# The CLI outputs that are pure arithmetic (no BLAS, so the same bytes on any
+# host): memory with its defaults and with other streams, batch and element
+# size, flops at an odd length, and the default rank ablation.
+ARITHMETIC_ARGV = (["memory"], ["memory", "--mla-streams", "1", "--batch", "3", "--bytes", "4"],
+                   ["flops", "--tokens", "777"], ["ablate"])
+# Their sha256 at every preset, in ARITHMETIC_ARGV order.
+ARITHMETIC_SHA256 = {
+    "128M": ("9f08715a6a1a24b5e60dbc66f490e1069a104c20266d7c22ab3dd53ff74e31b1",
+             "8c2ded060e2c0e29cb2eb5706e94c7284bd65d57d2e43e4e2e81269e8cb018f9",
+             "11227564e691f10658ec679b9bc03d16bba0144876c723f13edf35b59afa2f46",
+             "0ca675e8989ae06477a2606a2fe49b56095356e204392ec898b8f3759099122b"),
+    "512M": ("ae7e7e2668aabbd1cef4298d5b84d4c1586ddb6bd7f13e9ca7b113c4ad864dda",
+             "9d4161b97d6242b8cb888f7edd8faf20f45809413cff08fe05894915ebb3fd75",
+             "7ac2e437ff84ff1a5e13eed6be73e851df2393170eed9dbcfcc28ac349fe4101",
+             "6e3975afdc20f933e70317986ec064f2ebbafd2a8f30621d9cb79c971347ab7d"),
+    "1.2B": ("ae7e7e2668aabbd1cef4298d5b84d4c1586ddb6bd7f13e9ca7b113c4ad864dda",
+             "9d4161b97d6242b8cb888f7edd8faf20f45809413cff08fe05894915ebb3fd75",
+             "7ac2e437ff84ff1a5e13eed6be73e851df2393170eed9dbcfcc28ac349fe4101",
+             "6e3975afdc20f933e70317986ec064f2ebbafd2a8f30621d9cb79c971347ab7d"),
+    "2.5B": ("18f93b8953dc44c4ebda2f81fb8af97ac44b2d07a0893adc4bdf8547b2b6bc3c",
+             "e950d690a3e873cb0ad8e9a4474843bfdfd306ade617e20f3bb669fce6246cd1",
+             "07d61bd1f513a8cf91813615b3824fb5082adae3b67d279158039a1c0dee16b6",
+             "3cc5cd999b2a57702490ca22264656de1e19550b81526e87d48b597121db6591"),
+    "6.3B": ("12f8201a71ea4adebaf87bda861ef183b19c3cf6be8643aa917da51ce2f89e93",
+             "554bbcd479532285af970c245cd3948ea38721e73336b510162b31a3b2213942",
+             "caadfb05f1857d0dcee6ea23be043af73571efd41ac362f0581782201cd15336",
+             "0f42e08e263ded305d3e7627507f99dada47a8786042eb026d91cc2bb0c8e17e"),
+}
+
+
+@pytest.mark.parametrize("preset", ARITHMETIC_SHA256)
+def test_arithmetic_outputs_keep_their_sha256(tmp_path, preset):
+    out = tmp_path / "out.csv"
+    got = []
+    for argv in ARITHMETIC_ARGV:
+        assert run_cli([*argv, "--preset", preset, "--out", str(out)]) == 0
+        got.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert dict(zip(map(" ".join, ARITHMETIC_ARGV), got)) == \
+        dict(zip(map(" ".join, ARITHMETIC_ARGV), ARITHMETIC_SHA256[preset]))
+
+
+# A 32-wide config at the 128M preset: narrower than the preset's measured
+# rank (64) and its table rank (46).
+NARROW = ["--preset", "128M", "--set", "d=32", "--set", "H=4", "--set", "d_h=8",
+          "--set", "d_c=8", "--set", "G=2"]
+
+
+@pytest.mark.parametrize("mechanism", [m.value for m in Mechanism])
+def test_verify_with_qk_norm_reports_the_explicit_path(capsys, mechanism):
+    """qk_norm configs have no factored step, lrkv and mla included: verify
+    gives them explicit-only rows, the factored columns empty, and passes."""
+    assert run_cli(["verify", *NARROW, "--rank", "4", "--tokens", "3", "--trials", "2",
+                    "--set", "qk_norm=true", "--mechanism", mechanism]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    for line in lines[1:]:
+        trial, mech, T, dtype, logit, out, explicit, factored = line.split(",")
+        assert (mech, T, logit, out, factored) == (mechanism, "3", "", "", "")
+        assert int(explicit) > 0
+
+
+def test_ablate_builds_its_base_at_a_rank_every_width_admits(capsys):
+    """ablate's base config takes no --rank; each row sets its own r, so a
+    width below the preset's measured rank still sweeps."""
+    assert run_cli(["ablate", *NARROW, "--ranks", "0,4", "--out", "-"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(r["r"], r["cache_ratio"]) for r in rows] == [("0", "0.250000"), ("4", "0.750000")]
+
+
+def test_memory_leaves_the_formula_empty_below_the_table_rank(capsys):
+    """The lrkv ratio_formula is priced at the preset's table rank (46 at
+    128M); a config narrower than that leaves the cell empty, as mla's is."""
+    assert run_cli(["memory", *NARROW, "--rank", "4", "--out", "-"]) == 0
+    rows = {r["mechanism"]: r for r in csv.DictReader(capsys.readouterr().out.splitlines())}
+    assert rows["lrkv"]["ratio_formula"] == rows["mla"]["ratio_formula"] == ""
+    assert rows["lrkv"]["ratio_vs_mha"] == "0.750"
+    assert rows["mqa"]["ratio_formula"] == "0.250"
 
 
 def test_diversity_writes_four_reports(tmp_path):
