@@ -27,7 +27,6 @@ from .costs import (
     ablation_table,
     cache_bytes,
     cache_ratio,
-    cost_report,
     decode_flops,
     decode_flops_breakdown,
     kv_param_count,
@@ -74,7 +73,7 @@ __all__ = [
     "equivalence_report", "set_alloc_hook",
     "MIB", "CostQuery", "cache_bytes", "cache_ratio",
     "kv_param_count", "decode_flops", "decode_flops_breakdown",
-    "ablation_table", "cost_report",
+    "ablation_table",
     "bilinear_forms", "gram", "cosine", "center_gram", "spectrum",
     "diversity_report", "magnitude_report", "svd_truncate",
     "factorization_gap", "jacobi_eigh",

@@ -483,7 +483,7 @@ def equivalence_report(
             trial_seed = (seed.seed + trial) & _MASK64
             w = init_weights(config, RngSpec(seed=trial_seed))
             data_gen = np.random.Generator(np.random.PCG64(trial_seed).jumped())
-            X = data_gen.standard_normal((T, config.d))
+            X = data_gen.standard_normal(out=aligned_empty((T, config.d)))
             if dtype is not np.float64:
                 w = w.astype(dtype)
                 X = X.astype(dtype)

@@ -44,10 +44,11 @@ from .costs import (
     MIB,
     CostQuery,
     ablation_table,
+    cache_bytes,
     cache_ratio,
-    cost_report,
     decode_flops,
     decode_flops_breakdown,
+    kv_param_count,
 )
 from .diversity import diversity_report, factorization_gap
 from .errors import ConfigurationError, LabError
@@ -155,16 +156,22 @@ def _memory_row(config, preset, args) -> dict:
     q = CostQuery(config=config, T=args.tokens, batch=args.batch,
                   bytes_per_element=args.bytes,
                   mla_latent_streams=args.mla_streams)
-    rep = cost_report(q)
+    nbytes = cache_bytes(q)
+    mha_bytes = cache_bytes(replace(q, config=replace(config, mechanism=Mechanism.MHA)))
+    try:
+        mib = nbytes / MIB
+    except OverflowError:
+        flag = "--tokens" if args.tokens >= args.batch else "--batch"
+        raise ConfigurationError(f"{flag} is too large: the cache's MiB overflow a float") from None
     formula = None
     if config.mechanism is Mechanism.LRKV and preset is not None:
         if preset.table_rank <= config.d:  # r's bound: a narrower config leaves it empty
             formula = cache_ratio(replace(config, r=preset.table_rank))
     elif config.mechanism is not Mechanism.MLA:
         formula = cache_ratio(config)
-    return {"mechanism": config.mechanism.value, "cache_bytes": rep["cache_bytes"],
-            "cache_mib": rep["cache_bytes"] / MIB, "ratio_vs_mha": rep["cache_ratio_vs_mha"],
-            "ratio_formula": formula, "kv_param_count": rep["kv_param_count"]}
+    return {"mechanism": config.mechanism.value, "cache_bytes": nbytes, "cache_mib": mib,
+            "ratio_vs_mha": nbytes / mha_bytes if mha_bytes else 0.0,
+            "ratio_formula": formula, "kv_param_count": kv_param_count(config)}
 
 
 def _cmd_memory(args) -> int:

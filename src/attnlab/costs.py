@@ -22,7 +22,8 @@ and echoed in CLI output:
       lifts) against the full-cache baseline's scan; new-token projections
       and softmax are excluded. For the low-rank mechanism this overhead is
       r/d_h + r/T, which converges to r/d_h for long prefixes.
-    - The forms price qk_norm off: on a qk_norm config the norms go unpriced.
+    - The forms price qk_norm off, so a qk_norm config has no decode FLOPs:
+      ``decode_flops_breakdown`` raises ``ConfigurationError`` for one.
 
 The number of latent streams the latent mechanism caches (one shared or
 separate K and V streams) is an accounting knob of ``CostQuery``; two
@@ -30,8 +31,10 @@ streams is the default, and the one ``cache_ratio`` prices. A DecodeCache
 always holds the single shared stream, so its ``payload_nbytes`` matches
 single-stream queries.
 
-Results are plain: ``cost_report`` and ``decode_flops_breakdown`` return
-dicts, ``ablation_table`` a list of dict rows, ``decode_flops`` a tuple.
+Cache bytes, the cache ratio and the new-token projections all count the
+elements one token adds to one layer's cache. Results are plain:
+``decode_flops_breakdown`` returns a dict, ``ablation_table`` a list of
+dict rows, ``decode_flops`` a tuple.
 """
 
 from __future__ import annotations
@@ -74,14 +77,19 @@ class CostQuery:
             )
 
 
+def _token_elements(c: AttentionConfig, mla_streams: int) -> int:
+    """Elements one token adds to one layer's cache: a K and a V row per K/V
+    head plus lrkv's rank-r latent per head, or mla's latent row per stream."""
+    if c.mechanism is Mechanism.MLA:
+        return mla_streams * c.d_c
+    return 2 * (kv_heads(c) * c.d_h + c.H * residual_rank(c))
+
+
 def cache_bytes(q: CostQuery) -> int:
     """KV-cache footprint in bytes for the whole model (all layers)."""
     c = q.config
-    n = c.n_layers * q.batch * q.T * q.bytes_per_element
-    if c.mechanism is Mechanism.MLA:
-        return q.mla_latent_streams * n * c.d_c
-    # K and V: a d_h row per K/V head, plus LRKV's rank-r latent per head.
-    return 2 * n * (kv_heads(c) * c.d_h + c.H * residual_rank(c))
+    return (c.n_layers * q.batch * q.T * q.bytes_per_element
+            * _token_elements(c, q.mla_latent_streams))
 
 
 def cache_ratio(config: AttentionConfig) -> float:
@@ -92,9 +100,7 @@ def cache_ratio(config: AttentionConfig) -> float:
     mechanism (``DEFAULT_MLA_STREAMS`` = 2 streams of d_c against K and V),
     and 1/H + r/d_h for the low-rank mechanism.
     """
-    if config.mechanism is Mechanism.MLA:
-        return DEFAULT_MLA_STREAMS * config.d_c / (2.0 * config.H * config.d_h)
-    return kv_heads(config) / config.H + residual_rank(config) / config.d_h
+    return _token_elements(config, DEFAULT_MLA_STREAMS) / (2 * config.H * config.d_h)
 
 
 def kv_param_count(config: AttentionConfig) -> int:
@@ -121,32 +127,23 @@ def decode_flops_breakdown(q: CostQuery, mla_path: str = "reconstruct") -> dict[
     if mla_path not in MLA_PATHS:
         raise ConfigurationError(f"mla_path must be one of {MLA_PATHS}, got {mla_path!r}")
     c = q.config
-    T, H, d, d_h = q.T, c.H, c.d, c.d_h
+    if c.qk_norm:
+        raise ConfigurationError("qk_norm is not priced: the closed forms price qk_norm off")
+    T, H, d_h = q.T, c.H, c.d_h
     ma = FLOPS_PER_MULTIPLY_ADD
-    softmax = SOFTMAX_FLOPS_PER_POSITION * T * H
-    if c.mechanism is Mechanism.MLA:
-        proj = H * ma * d * d_h + ma * d * c.d_c
-        if mla_path == "reconstruct":
-            rec = H * 2 * ma * T * c.d_c * d_h
-            scan = H * 2 * ma * T * d_h
-            lift = 0
-        else:
-            rec = 0
-            scan = H * 2 * ma * T * c.d_c
-            lift = H * 2 * ma * c.d_c * d_h
-    else:  # grouped K/V, explicit path; LRKV adds its rank-r terms, factored path
-        r = residual_rank(c)
-        proj = H * ma * d * d_h + 2 * ma * kv_heads(c) * d * d_h + H * 2 * ma * d * r
-        rec = 0
-        scan = H * (2 * ma * T * d_h + 2 * ma * T * r)
-        lift = H * 2 * ma * r * d_h
-    return {
-        "proj_new_token": proj,
-        "reconstruct": rec,
-        "scan": scan,
-        "lift": lift,
-        "softmax": softmax,
-    }
+    # Queries, then the token's cache rows (one latent row for mla: the step
+    # projects one stream, whatever the query prices).
+    proj = H * ma * c.d * d_h + ma * c.d * _token_elements(c, 1)
+    # Per head, the stored base scanned as is and the latent scanned, then
+    # lifted through the d_h-wide factors.
+    mla = c.mechanism is Mechanism.MLA
+    base, latent = (0, c.d_c) if mla else (d_h, residual_rank(c))
+    rec = 0
+    if mla and mla_path == "reconstruct":  # rebuild K and V per head, scan at full width
+        rec, base, latent = H * 2 * ma * T * c.d_c * d_h, d_h, 0
+    return {"proj_new_token": proj, "reconstruct": rec,
+            "scan": H * 2 * ma * T * (base + latent), "lift": H * 2 * ma * latent * d_h,
+            "softmax": SOFTMAX_FLOPS_PER_POSITION * T * H}
 
 
 def decode_flops(q: CostQuery, mla_path: str = "reconstruct") -> tuple[int, float]:
@@ -165,9 +162,7 @@ def decode_flops(q: CostQuery, mla_path: str = "reconstruct") -> tuple[int, floa
     return total, (attn_only - mha_scan) / mha_scan
 
 
-def ablation_table(
-    base: AttentionConfig, ranks: list[int], T: int
-) -> list[dict]:
+def ablation_table(base: AttentionConfig, ranks: list[int], T: int) -> list[dict]:
     """Sweep the residual rank of a low-rank config; one row per rank.
 
     Rows carry the closed-form cache ratio (and its percent form), cache
@@ -182,27 +177,7 @@ def ablation_table(
         q = CostQuery(config=cfg, T=T, batch=1, bytes_per_element=2)
         ratio = cache_ratio(cfg)
         flops, overhead = decode_flops(q)
-        rows.append({
-            "r": r,
-            "cache_ratio": ratio,
-            "cache_pct": 100.0 * ratio,
-            "cache_bytes": cache_bytes(q),
-            "kv_param_count": kv_param_count(cfg),
-            "decode_flops": flops,
-            "flops_overhead_vs_mha": overhead,
-        })
+        rows.append({"r": r, "cache_ratio": ratio, "cache_pct": 100.0 * ratio,
+                     "cache_bytes": cache_bytes(q), "kv_param_count": kv_param_count(cfg),
+                     "decode_flops": flops, "flops_overhead_vs_mha": overhead})
     return rows
-
-
-def cost_report(q: CostQuery) -> dict:
-    """Cache bytes, byte ratio vs baseline and K/V parameters for one query:
-    a dict of ``cache_bytes``, ``cache_ratio_vs_mha`` (against the full-cache
-    baseline under the identical query) and ``kv_param_count``."""
-    bytes_self = cache_bytes(q)
-    mha_q = replace(q, config=replace(q.config, mechanism=Mechanism.MHA))
-    bytes_mha = cache_bytes(mha_q)
-    return {
-        "cache_bytes": bytes_self,
-        "cache_ratio_vs_mha": bytes_self / bytes_mha if bytes_mha else 0.0,
-        "kv_param_count": kv_param_count(q.config),
-    }

@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .config import AttentionConfig, Mechanism, RngSpec, require_mechanism
-from .errors import DimensionError
+from .errors import ConfigurationError, DimensionError
 
 DTYPE = np.float64
 
@@ -57,11 +57,15 @@ def aligned_empty(shape: tuple[int, ...], dtype=DTYPE, alloc=np.empty) -> np.nda
     """An uninitialized C-contiguous array whose data starts ALIGNMENT-aligned.
 
     ``alloc=np.zeros`` gives an all-zero one instead, zeroed as numpy's
-    zeros are (calloc), with no second pass over the bytes.
+    zeros are (calloc), with no second pass over the bytes. A size numpy
+    refuses raises ``ConfigurationError`` naming the shape.
     """
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
-    raw = alloc(nbytes + ALIGNMENT, dtype=np.uint8)
+    try:
+        raw = alloc(nbytes + ALIGNMENT, dtype=np.uint8)
+    except (MemoryError, ValueError) as e:  # out of memory, or past numpy's dimension limit
+        raise ConfigurationError(f"cannot allocate a {dtype} array of shape {shape}: {e}") from e
     start = -raw.ctypes.data % ALIGNMENT
     # Cut from the non-empty aligned view: numpy leaves a zero-length slice
     # at its base's pointer, so raw[start:start] would not be aligned.

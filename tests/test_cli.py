@@ -329,6 +329,61 @@ def test_memory_leaves_the_formula_empty_below_the_table_rank(capsys):
     assert rows["mqa"]["ratio_formula"] == "0.250"
 
 
+@pytest.mark.parametrize("flag", ["--tokens", "--batch"])
+def test_memory_whose_mib_overflow_a_float_is_a_usage_error(capsys, flag):
+    """A 401-digit --tokens or --batch is an exact byte count, but its MiB
+    cell does not fit a float: the flag is named, with no traceback."""
+    assert run_cli(["memory", "--preset", "128M", flag, "1" + "0" * 400]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {flag} is too large")
+
+
+@pytest.mark.parametrize("argv", [["flops", "--tokens", "777"], ["ablate"]])
+def test_flops_and_ablate_refuse_a_qk_norm_config(capsys, argv):
+    """The cost model prices qk_norm off, so a qk_norm config gets no
+    prices; memory, which counts only bytes, still runs."""
+    assert run_cli([*argv, "--preset", "128M", "--set", "qk_norm=true"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "qk_norm" in captured.err
+    assert run_cli(["memory", "--preset", "128M", "--set", "qk_norm=true"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config-json", "CONFIG", "--tokens", str(10**20), "--trials", "1"],
+    ["gen-weights", "--config-json", "CONFIG", "--set", "d=200000000000",
+     "--set", "d_h=50000000000", "--out", "OUT"],
+], ids=["verify", "gen-weights"])
+def test_sizes_past_numpys_dimension_limit_are_usage_errors(tmp_path, capsys, argv):
+    """numpy refuses these shapes before allocating anything; the lab's
+    allocator turns the refusal into a usage error naming the shape."""
+    paths = {"CONFIG": write_config(tmp_path, LRKV_SMALL), "OUT": str(tmp_path / "w.atn")}
+    assert run_cli([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot allocate a float64 array of shape (")
+    assert "Maximum allowed dimension exceeded" in err
+
+
+def test_verify_whose_token_block_runs_out_of_memory_is_a_usage_error(
+        tmp_path, capsys, monkeypatch):
+    """The token block is drawn into the lab's allocator, so a MemoryError
+    there (here forced) is a usage error too, not a numpy traceback."""
+    import attnlab.cache as kv
+    import attnlab.weights as weights
+
+    def out_of_memory(n, dtype):
+        raise MemoryError(f"Unable to allocate {n} bytes")
+
+    def aligned_empty(shape, dtype=np.float64, alloc=np.empty):
+        return weights.aligned_empty(shape, dtype, out_of_memory if shape == (40, 64) else alloc)
+
+    monkeypatch.setattr(kv, "aligned_empty", aligned_empty)
+    assert run_cli(["verify", "--config-json", write_config(tmp_path, LRKV_SMALL),
+                    "--tokens", "40", "--trials", "1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: cannot allocate a float64 array of shape (40, 64): Unable to allocate 20544 bytes\n"
+
+
 def test_diversity_writes_four_reports(tmp_path):
     cfg_path = write_config(tmp_path, LRKV_SMALL)
     archive = str(tmp_path / "w.bin")

@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -13,7 +16,6 @@ from attnlab import (
     ablation_table,
     cache_bytes,
     cache_ratio,
-    cost_report,
     decode_flops,
     decode_flops_breakdown,
     empty_cache,
@@ -21,6 +23,8 @@ from attnlab import (
     kv_param_count,
     prefill,
 )
+from attnlab.cli import run_cli
+from attnlab.costs import MLA_PATHS
 
 
 def cfg(mechanism, *, d=48, H=4, d_h=12, **kw):
@@ -186,6 +190,21 @@ def test_mla_path_validation():
         decode_flops(q(cfg(Mechanism.MLA, d_c=10), T=4), mla_path="fused")
 
 
+@pytest.mark.parametrize("mechanism,kw", [(Mechanism.MHA, {}), (Mechanism.MLA, {"d_c": 10}),
+                                        (Mechanism.LRKV, {"r": 5})], ids=["mha", "mla", "lrkv"])
+def test_qk_norm_configs_are_not_priced(mechanism, kw):
+    """The forms price qk_norm off; a qk_norm config is refused, not priced
+    as if its norms were free. Its cache bytes do not depend on the norms."""
+    config = cfg(mechanism, qk_norm=True, **kw)
+    for mla_path in MLA_PATHS:
+        with pytest.raises(ConfigurationError, match="qk_norm"):
+            decode_flops_breakdown(q(config, T=8), mla_path=mla_path)
+    assert cache_bytes(q(config, T=8)) == cache_bytes(q(cfg(mechanism, **kw), T=8))
+    if mechanism is Mechanism.LRKV:
+        with pytest.raises(ConfigurationError, match="qk_norm"):
+            ablation_table(config, [0, 2], T=8)
+
+
 def test_lrkv_overhead_closed_form():
     config = AttentionConfig(mechanism=Mechanism.LRKV, d=768, H=6, d_h=128, r=64)
     _, overhead = decode_flops(q(config, T=4096))
@@ -331,13 +350,22 @@ def test_ablation_table_rejects_other_mechanisms():
         ablation_table(cfg(Mechanism.MHA), [1, 2], T=4)
 
 
-def test_cost_report_ratio_is_byte_ratio():
-    config = cfg(Mechanism.LRKV, r=6)
-    report = cost_report(q(config, T=32))
-    mha_bytes = cache_bytes(q(cfg(Mechanism.MHA), T=32))
-    assert report["cache_ratio_vs_mha"] == pytest.approx(
-        report["cache_bytes"] / mha_bytes)
-    assert report["kv_param_count"] == kv_param_count(config)
+def test_memory_ratio_vs_mha_is_byte_ratio(tmp_path):
+    """``memory``'s ratio_vs_mha is the row's cache bytes over the full-cache
+    baseline's under the same query."""
+    config = cfg(Mechanism.LRKV, r=5, n_layers=3)
+    path = tmp_path / "lrkv.json"
+    path.write_text(json.dumps(config.to_json_dict()))
+    out = tmp_path / "memory.csv"
+    assert run_cli(["memory", "--config-json", str(path), "--tokens", "32", "--batch", "2",
+                    "--out", str(out)]) == 0
+    with open(out, newline="") as f:
+        (row,) = csv.DictReader(f)
+    nbytes = cache_bytes(q(config, T=32, batch=2))
+    mha_bytes = cache_bytes(q(cfg(Mechanism.MHA, n_layers=3), T=32, batch=2))
+    assert int(row["cache_bytes"]) == nbytes
+    assert row["ratio_vs_mha"] == f"{nbytes / mha_bytes:.3f}" == "0.667"
+    assert int(row["kv_param_count"]) == kv_param_count(config)
 
 
 # ---------------------------------------------------------------- query

@@ -1,10 +1,12 @@
 import importlib
 import importlib.util
 import json
+import math
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,6 +86,43 @@ def test_traced_bench_spans_are_recorded(monkeypatch, tmp_path):
         selected[("jacobi.jacobi_eigh", parent)] = [
             s for s in jacobi if tracer.parent_name(s) == parent]
     assert [key for key, spans in selected.items() if not spans] == []
+
+
+def test_traced_serving_metrics_are_finite(monkeypatch):
+    """``bench/serving.py::layer_metrics`` takes ``statistics.median`` over
+    the ``cache.prefill``, ``cache.append_token`` and ``cache.decode_*``
+    spans under ``serve/<m>`` and reads ``tracer.allocs``, so a library
+    change that routes decode appends around ``append_token`` (or drops any
+    span the benchmark selects) breaks the benchmark and nothing else. Here
+    a hand-built model of every mechanism, two 16-wide layers each, is
+    served under ``bench/tracing.py``'s tracer. The files are only read: no
+    bytecode is written beside them."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+
+    def load(name):  # registered while the test runs: serving imports common
+        spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    common, tracing, serving = load("common"), load("tracing"), load("serving")
+    from attnlab import AttentionConfig, RngSpec, init_weights
+
+    shape = {"d": 32, "H": 2, "d_h": 16, "r": 4, "d_c": 16, "G": 2}
+    configs = {m: AttentionConfig(mechanism=m, **shape) for m in serving.MECHANISMS}
+    layers = {m: [init_weights(c, RngSpec(seed=i)) for i in range(2)]
+              for m, c in configs.items()}
+    tokens = np.random.default_rng(0).standard_normal((12, shape["d"]))
+    model = serving.Model(configs, layers, tokens, prompt=8,
+                          checked_layer={m: 1 for m in configs})
+    tally, tracer = common.Tally(), tracing.Tracer()
+    with tracer.installed():
+        requests = serving.serve(model, tally, tracer)
+    assert tally.failed == 0 and list(requests) == list(serving.MECHANISMS)
+    metrics = serving.layer_metrics(model, tracer, {m: [r] for m, r in requests.items()})
+    assert len(metrics) == 9 * len(serving.MECHANISMS)
+    assert [name for name, value in metrics.items() if not math.isfinite(value)] == []
 
 
 def test_bench_pairs_seeds_and_quartiles():

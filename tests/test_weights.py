@@ -3,6 +3,7 @@ import pytest
 
 from attnlab import (
     AttentionConfig,
+    ConfigurationError,
     DimensionError,
     Mechanism,
     RngSpec,
@@ -16,6 +17,7 @@ from attnlab import (
 from attnlab.weights import (
     ALIGNMENT,
     RESIDUAL_INIT_FRACTION,
+    aligned_empty,
     kv_heads,
     residual_rank,
     tensor_shapes,
@@ -251,6 +253,19 @@ def test_weight_tensors_are_contiguous_and_aligned(mechanism, kw):
             assert t.flags.c_contiguous, field
             assert t.ctypes.data % ALIGNMENT == 0, field
     assert w.astype(np.float64).wq is not w.wq  # astype still copies
+
+
+def test_refused_allocation_is_a_configuration_error_naming_the_shape():
+    """Past numpy's dimension limit (refused before any allocation), and an
+    allocation that runs out of memory, both end in ConfigurationError."""
+    with pytest.raises(ConfigurationError, match=r"shape \(10000000000000000000, 32\)"):
+        aligned_empty((10**19, 32))
+
+    def out_of_memory(n, dtype):
+        raise MemoryError(f"Unable to allocate {n} bytes")
+
+    with pytest.raises(ConfigurationError, match=r"float32 array of shape \(3, 4\)"):
+        aligned_empty((3, 4), np.float32, alloc=out_of_memory)
 
 
 def _reference_init(c, seed):
